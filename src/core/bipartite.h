@@ -5,13 +5,34 @@
 // Node layout: facility i -> network node i; client j -> network node m+j.
 // A node's constructor receives only what the model lets it know locally:
 // its own cost data and the ids/costs of its incident edges.
+//
+// run_protocol is the one scaffold the mw-greedy, frac-lp and rand-round
+// runners share. It maps the MwParams transport knobs onto the network:
+//   * `params.faults` installs the seeded FaultPlan and `params.tracer`
+//     traces the run under the runner's section name;
+//   * `params.reliable` wraps every node program in a ReliableChannel
+//     (netsim/reliable.h), widens the physical bit budget to carry the
+//     transport header, and stretches the round bound for dilation and the
+//     channel's linger tail;
+//   * when the run, the readout or its feasibility check throws CheckError
+//     under injected faults, the error is re-thrown with the identity of the
+//     first lost message appended, so a test or a user can see *which* drop
+//     broke an unprotected run.
 #pragma once
 
 #include <algorithm>
+#include <cstdint>
+#include <functional>
+#include <memory>
+#include <string_view>
+#include <utility>
 #include <vector>
 
+#include "common/check.h"
+#include "core/params.h"
 #include "fl/instance.h"
 #include "netsim/network.h"
+#include "netsim/reliable.h"
 
 namespace dflp::core {
 
@@ -63,13 +84,38 @@ struct LocalEdge {
   return edges;
 }
 
+/// A node's incident edges indexed by peer: at(peer) is the peer's position
+/// in the node's cost-sorted edge list.
+class PeerIndex {
+ public:
+  explicit PeerIndex(const std::vector<LocalEdge>& edges) {
+    sorted_.reserve(edges.size());
+    for (std::size_t t = 0; t < edges.size(); ++t)
+      sorted_.push_back({edges[t].peer, t});
+    std::sort(sorted_.begin(), sorted_.end());
+  }
+
+  [[nodiscard]] std::size_t at(net::NodeId peer) const {
+    const auto it = std::lower_bound(
+        sorted_.begin(), sorted_.end(),
+        std::pair<net::NodeId, std::size_t>{peer, 0});
+    DFLP_CHECK_MSG(it != sorted_.end() && it->first == peer,
+                   "message from non-neighbour " << peer);
+    return it->second;
+  }
+
+ private:
+  std::vector<std::pair<net::NodeId, std::size_t>> sorted_;  // (peer, t)
+};
+
 /// Builds the (finalized, process-less) bipartite communication network of
-/// `inst` with the given options.
-[[nodiscard]] inline net::Network make_bipartite_network(
-    const fl::Instance& inst, net::Network::Options options) {
+/// `inst` with the given options: a net::Network, or a net::AsyncNetwork.
+template <typename Net = net::Network>
+[[nodiscard]] Net make_bipartite_network(const fl::Instance& inst,
+                                         typename Net::Options options) {
   const auto total = static_cast<std::size_t>(inst.num_facilities() +
                                               inst.num_clients());
-  net::Network net(total, options);
+  Net net(total, options);
   for (fl::FacilityId i = 0; i < inst.num_facilities(); ++i) {
     for (const fl::FacilityEdge& e : inst.facility_edges(i))
       net.add_edge(facility_node(i), client_node(inst, e.client));
@@ -77,5 +123,53 @@ struct LocalEdge {
   net.finalize();
   return net;
 }
+
+/// What differs between the runners.
+struct ProtocolSpec {
+  std::string_view section;         ///< trace section name
+  int bit_budget = 0;               ///< the protocol's own message budget
+  std::uint64_t seed = 0;           ///< engine seed
+  std::uint64_t logical_bound = 0;  ///< round bound of a direct run
+};
+
+/// Builds the bipartite network of `inst`, installs `make_node(v)` at every
+/// node v, runs it to the transport round bound and hands the metrics to
+/// `readout`. Returns the channel counters merged over all nodes (all-zero
+/// unless `params.reliable`).
+net::ReliableStats run_protocol(
+    const fl::Instance& inst, const MwParams& params, const ProtocolSpec& spec,
+    const net::ProcessFactory& make_node,
+    const std::function<void(const net::NetMetrics&)>& readout);
+
+/// Typed pointers to one run's node programs, recorded as make() builds
+/// them so the readout needs no downcast. The network owns the programs;
+/// the pointers live as long as it does.
+template <typename Facility, typename Client>
+struct NodePrograms {
+  explicit NodePrograms(const fl::Instance& inst)
+      : inst(&inst),
+        facility(static_cast<std::size_t>(inst.num_facilities())),
+        client(static_cast<std::size_t>(inst.num_clients())) {}
+
+  /// Node v's program: `make_facility(i)` or `make_client(j)`.
+  template <typename MakeFacility, typename MakeClient>
+  std::unique_ptr<net::Process> make(net::NodeId v,
+                                     MakeFacility&& make_facility,
+                                     MakeClient&& make_client) {
+    if (v < inst->num_facilities()) {
+      std::unique_ptr<Facility> proc = make_facility(node_to_facility(v));
+      facility[static_cast<std::size_t>(v)] = proc.get();
+      return proc;
+    }
+    const fl::ClientId j = node_to_client(*inst, v);
+    std::unique_ptr<Client> proc = make_client(j);
+    client[static_cast<std::size_t>(j)] = proc.get();
+    return proc;
+  }
+
+  const fl::Instance* inst;
+  std::vector<const Facility*> facility;
+  std::vector<const Client*> client;
+};
 
 }  // namespace dflp::core

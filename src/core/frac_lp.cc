@@ -6,7 +6,6 @@
 
 #include "common/check.h"
 #include "core/bipartite.h"
-#include "core/transport.h"
 
 namespace dflp::core {
 
@@ -17,6 +16,11 @@ constexpr std::uint8_t kCovered = 11;
 constexpr std::uint8_t kOpenReq = 12;
 
 struct Shared {
+  Shared(const fl::Instance& inst, const MwParams& p)
+      : sched(derive_schedule(inst, p)), params(p),
+        scheduled_rounds(2ULL * static_cast<std::uint64_t>(sched.levels) *
+                         static_cast<std::uint64_t>(sched.subphases)) {}
+
   MwSchedule sched;
   MwParams params;
   std::uint64_t scheduled_rounds = 0;  // 2 * levels * subphases
@@ -35,13 +39,8 @@ class FacilityProc final : public net::Process {
   FacilityProc(const Shared* shared, double opening_cost,
                std::vector<LocalEdge> edges)
       : shared_(shared), opening_cost_(opening_cost),
-        edges_(std::move(edges)), covered_(edges_.size(), 0) {
-    by_peer_.reserve(edges_.size());
-    for (std::size_t t = 0; t < edges_.size(); ++t)
-      by_peer_.push_back({edges_[t].peer, t});
-    std::sort(by_peer_.begin(), by_peer_.end());
-    uncovered_count_ = static_cast<int>(edges_.size());
-  }
+        edges_(std::move(edges)), covered_(edges_.size(), 0),
+        peers_(edges_), uncovered_count_(static_cast<int>(edges_.size())) {}
 
   [[nodiscard]] std::int64_t raises() const noexcept { return raises_; }
 
@@ -74,13 +73,9 @@ class FacilityProc final : public net::Process {
 
  private:
   void mark_covered(net::NodeId client) {
-    const auto it = std::lower_bound(
-        by_peer_.begin(), by_peer_.end(),
-        std::pair<net::NodeId, std::size_t>{client, 0});
-    DFLP_CHECK_MSG(it != by_peer_.end() && it->first == client,
-                   "COVERED from non-neighbour " << client);
-    if (!covered_[it->second]) {
-      covered_[it->second] = 1;
+    const std::size_t t = peers_.at(client);
+    if (!covered_[t]) {
+      covered_[t] = 1;
       --uncovered_count_;
     }
   }
@@ -121,7 +116,7 @@ class FacilityProc final : public net::Process {
   double opening_cost_;
   std::vector<LocalEdge> edges_;
   std::vector<std::uint8_t> covered_;
-  std::vector<std::pair<net::NodeId, std::size_t>> by_peer_;
+  PeerIndex peers_;
   int uncovered_count_ = 0;
   std::int64_t raises_ = 0;
 };
@@ -130,21 +125,16 @@ class ClientProc final : public net::Process {
  public:
   ClientProc(const Shared* shared, std::vector<LocalEdge> edges)
       : shared_(shared), edges_(std::move(edges)),
-        known_raises_(edges_.size(), 0) {
-    by_peer_.reserve(edges_.size());
-    for (std::size_t t = 0; t < edges_.size(); ++t)
-      by_peer_.push_back({edges_[t].peer, t});
-    std::sort(by_peer_.begin(), by_peer_.end());
-  }
+        known_raises_(edges_.size(), 0), peers_(edges_) {}
 
   [[nodiscard]] bool covered() const noexcept { return covered_; }
   [[nodiscard]] bool covered_by_mopup() const noexcept { return by_mopup_; }
 
   /// Local x allocation over this client's edges (edge order = cost
-  /// order): x_ij = min(known y_i, residual). Known y never exceeds the
-  /// facility's true final y, so the allocation is feasible against it.
-  [[nodiscard]] std::vector<double> allocate_x() const {
-    std::vector<double> x(edges_.size(), 0.0);
+  /// order), written into the zeroed `x`: x_ij = min(known y_i, residual).
+  /// Known y never exceeds the facility's true final y, so the allocation
+  /// is feasible against it.
+  void allocate_x(std::span<double> x) const {
     double residual = 1.0;
     for (std::size_t t = 0; t < edges_.size() && residual > 0.0; ++t) {
       const double yv = y_of_raises(shared_->sched, known_raises_[t]);
@@ -152,7 +142,6 @@ class ClientProc final : public net::Process {
       x[t] = take;
       residual -= take;
     }
-    return x;
   }
 
   void on_round(net::NodeContext& ctx,
@@ -160,12 +149,8 @@ class ClientProc final : public net::Process {
     const std::uint64_t r = ctx.round();
     for (const net::Message& msg : inbox) {
       if (msg.kind == kYUpdate) {
-        const auto it = std::lower_bound(
-            by_peer_.begin(), by_peer_.end(),
-            std::pair<net::NodeId, std::size_t>{msg.src, 0});
-        DFLP_CHECK(it != by_peer_.end() && it->first == msg.src);
-        known_raises_[it->second] =
-            std::max(known_raises_[it->second], msg.field[0]);
+        std::int64_t& known = known_raises_[peers_.at(msg.src)];
+        known = std::max(known, msg.field[0]);
       }
     }
 
@@ -212,7 +197,7 @@ class ClientProc final : public net::Process {
   const Shared* shared_;
   std::vector<LocalEdge> edges_;
   std::vector<std::int64_t> known_raises_;  // parallel to edges_
-  std::vector<std::pair<net::NodeId, std::size_t>> by_peer_;
+  PeerIndex peers_;
   bool covered_ = false;
   bool by_mopup_ = false;
 };
@@ -220,66 +205,50 @@ class ClientProc final : public net::Process {
 }  // namespace
 
 FracOutcome run_frac_lp(const fl::Instance& inst, const MwParams& params) {
-  Shared shared;
-  shared.sched = derive_schedule(inst, params);
-  shared.params = params;
-  shared.scheduled_rounds = 2ULL *
-                            static_cast<std::uint64_t>(shared.sched.levels) *
-                            static_cast<std::uint64_t>(shared.sched.subphases);
+  const Shared shared(inst, params);
 
-  const std::uint64_t logical_bound = shared.scheduled_rounds + 8;
+  NodePrograms<FacilityProc, ClientProc> nodes(inst);
+  const auto make_node = [&](net::NodeId v) {
+    return nodes.make(
+        v,
+        [&](fl::FacilityId i) {
+          return std::make_unique<FacilityProc>(
+              &shared, inst.opening_cost(i), facility_local_edges(inst, i));
+        },
+        [&](fl::ClientId j) {
+          return std::make_unique<ClientProc>(&shared,
+                                              client_local_edges(inst, j));
+        });
+  };
 
-  net::Network::Options options;
-  options.bit_budget = shared.sched.bit_budget;
-  options.seed = params.seed;
-  options.num_threads = params.num_threads;
-  options.delivery = params.delivery;
-  apply_transport_options(options, params, logical_bound);
-  if (params.tracer != nullptr) params.tracer->set_section("frac-lp");
-  net::Network net = make_bipartite_network(inst, options);
-
-  for (fl::FacilityId i = 0; i < inst.num_facilities(); ++i) {
-    net.set_process(facility_node(i),
-                    maybe_reliable(std::make_unique<FacilityProc>(
-                                       &shared, inst.opening_cost(i),
-                                       facility_local_edges(inst, i)),
-                                   params, shared.sched.bit_budget));
-  }
-  for (fl::ClientId j = 0; j < inst.num_clients(); ++j) {
-    net.set_process(client_node(inst, j),
-                    maybe_reliable(std::make_unique<ClientProc>(
-                                       &shared, client_local_edges(inst, j)),
-                                   params, shared.sched.bit_budget));
-  }
-
-  return with_fault_context(net, [&] {
-    FracOutcome outcome(inst);
-    outcome.metrics = net.run(transport_max_rounds(params, logical_bound));
-    outcome.schedule = shared.sched;
-
-    for (fl::FacilityId i = 0; i < inst.num_facilities(); ++i) {
-      const auto& proc =
-          transport_inner<FacilityProc>(net, params, facility_node(i));
-      outcome.fractional.y[static_cast<std::size_t>(i)] =
-          y_of_raises(shared.sched, proc.raises());
-    }
-    for (fl::ClientId j = 0; j < inst.num_clients(); ++j) {
-      const auto& proc =
-          transport_inner<ClientProc>(net, params, client_node(inst, j));
-      const std::vector<double> x = proc.allocate_x();
-      const std::size_t base = inst.client_edge_offset(j);
-      for (std::size_t t = 0; t < x.size(); ++t)
-        outcome.fractional.x[base + t] = x[t];
-      if (proc.covered_by_mopup()) ++outcome.mopup_clients;
-    }
-    outcome.transport = collect_transport_stats(net, params);
-    if (params.mopup) {
-      std::string why;
-      DFLP_CHECK_MSG(outcome.fractional.is_feasible(inst, 1e-7, &why),
-                     "fractional stage with mop-up must be feasible: " << why);
-    }
-    return outcome;
-  });
+  FracOutcome outcome(inst);
+  outcome.schedule = shared.sched;
+  outcome.transport = run_protocol(
+      inst, params,
+      {"frac-lp", shared.sched.bit_budget, params.seed,
+       shared.scheduled_rounds + 8},
+      make_node, [&](const net::NetMetrics& metrics) {
+        outcome.metrics = metrics;
+        for (fl::FacilityId i = 0; i < inst.num_facilities(); ++i) {
+          outcome.fractional.y[static_cast<std::size_t>(i)] = y_of_raises(
+              shared.sched, nodes.facility[static_cast<std::size_t>(i)]
+                                ->raises());
+        }
+        for (fl::ClientId j = 0; j < inst.num_clients(); ++j) {
+          const ClientProc& proc = *nodes.client[static_cast<std::size_t>(j)];
+          proc.allocate_x(std::span<double>(outcome.fractional.x)
+                              .subspan(inst.client_edge_offset(j),
+                                       inst.client_edges(j).size()));
+          if (proc.covered_by_mopup()) ++outcome.mopup_clients;
+        }
+        if (params.mopup) {
+          std::string why;
+          DFLP_CHECK_MSG(
+              outcome.fractional.is_feasible(inst, 1e-7, &why),
+              "fractional stage with mop-up must be feasible: " << why);
+        }
+      });
+  return outcome;
 }
 
 }  // namespace dflp::core

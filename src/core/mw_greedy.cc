@@ -6,7 +6,6 @@
 
 #include "common/check.h"
 #include "core/bipartite.h"
-#include "core/transport.h"
 
 namespace dflp::core {
 
@@ -22,6 +21,11 @@ constexpr std::uint8_t kOpenReq = 5;
 /// Static data shared read-only by every node: the derived schedule plus
 /// the round layout constants.
 struct Shared {
+  Shared(const fl::Instance& inst, const MwParams& p)
+      : sched(derive_schedule(inst, p)), params(p),
+        scheduled_rounds(4ULL * static_cast<std::uint64_t>(sched.levels) *
+                         static_cast<std::uint64_t>(sched.subphases)) {}
+
   MwSchedule sched;
   MwParams params;
   std::uint64_t scheduled_rounds = 0;  // 4 * levels * subphases
@@ -32,14 +36,8 @@ class FacilityProc final : public net::Process {
   FacilityProc(const Shared* shared, double opening_cost,
                std::vector<LocalEdge> edges)
       : shared_(shared), opening_cost_(opening_cost),
-        edges_(std::move(edges)),
-        covered_(edges_.size(), 0) {
-    by_peer_.reserve(edges_.size());
-    for (std::size_t t = 0; t < edges_.size(); ++t)
-      by_peer_.push_back({edges_[t].peer, t});
-    std::sort(by_peer_.begin(), by_peer_.end());
-    uncovered_count_ = static_cast<int>(edges_.size());
-  }
+        edges_(std::move(edges)), covered_(edges_.size(), 0),
+        peers_(edges_), uncovered_count_(static_cast<int>(edges_.size())) {}
 
   [[nodiscard]] bool opened() const noexcept { return open_; }
 
@@ -86,13 +84,9 @@ class FacilityProc final : public net::Process {
 
  private:
   void mark_covered(net::NodeId client) {
-    const auto it = std::lower_bound(
-        by_peer_.begin(), by_peer_.end(),
-        std::pair<net::NodeId, std::size_t>{client, 0});
-    DFLP_CHECK_MSG(it != by_peer_.end() && it->first == client,
-                   "COVERED from non-neighbour " << client);
-    if (!covered_[it->second]) {
-      covered_[it->second] = 1;
+    const std::size_t t = peers_.at(client);
+    if (!covered_[t]) {
+      covered_[t] = 1;
       --uncovered_count_;
     }
   }
@@ -174,7 +168,7 @@ class FacilityProc final : public net::Process {
   double opening_cost_;
   std::vector<LocalEdge> edges_;       // cost-sorted
   std::vector<std::uint8_t> covered_;  // parallel to edges_
-  std::vector<std::pair<net::NodeId, std::size_t>> by_peer_;  // sorted
+  PeerIndex peers_;
   int uncovered_count_ = 0;
   bool open_ = false;
   int offered_star_ = 0;  // size of the star offered this sub-phase
@@ -286,146 +280,105 @@ class ClientProc final : public net::Process {
   net::NodeId pending_ = net::kNoNode;
 };
 
+using Nodes = NodePrograms<FacilityProc, ClientProc>;
+
+/// Node v's program, for the synchronous and the asynchronous run alike.
+std::unique_ptr<net::Process> make_node(const fl::Instance& inst,
+                                        const Shared& shared, Nodes& nodes,
+                                        net::NodeId v) {
+  return nodes.make(
+      v,
+      [&](fl::FacilityId i) {
+        return std::make_unique<FacilityProc>(&shared, inst.opening_cost(i),
+                                              facility_local_edges(inst, i));
+      },
+      [&](fl::ClientId j) {
+        return std::make_unique<ClientProc>(&shared,
+                                            client_local_edges(inst, j));
+      });
+}
+
+/// Reads the solution off the node programs into `outcome` and, with
+/// mop-up on, checks it is feasible. Returns the mop-up count.
+template <typename Outcome>
+int read_solution(const fl::Instance& inst, const MwParams& params,
+                  const Nodes& nodes, std::string_view runner,
+                  Outcome& outcome) {
+  int mopup_clients = 0;
+  for (fl::FacilityId i = 0; i < inst.num_facilities(); ++i) {
+    if (nodes.facility[static_cast<std::size_t>(i)]->opened())
+      outcome.solution.open(i);
+  }
+  for (fl::ClientId j = 0; j < inst.num_clients(); ++j) {
+    const ClientProc& proc = *nodes.client[static_cast<std::size_t>(j)];
+    if (proc.covered()) {
+      outcome.solution.assign(
+          j, node_to_facility(proc.assigned_facility_node()));
+    }
+    if (proc.covered_by_mopup()) ++mopup_clients;
+  }
+  if (params.mopup) {
+    std::string why;
+    DFLP_CHECK_MSG(outcome.solution.is_feasible(inst, &why),
+                   runner << " with mop-up must be feasible: " << why);
+  }
+  return mopup_clients;
+}
+
 }  // namespace
 
 MwGreedyOutcome run_mw_greedy(const fl::Instance& inst,
                               const MwParams& params) {
-  Shared shared;
-  shared.sched = derive_schedule(inst, params);
-  shared.params = params;
-  shared.scheduled_rounds = 4ULL *
-                            static_cast<std::uint64_t>(shared.sched.levels) *
-                            static_cast<std::uint64_t>(shared.sched.subphases);
-
-  const std::uint64_t logical_bound = shared.scheduled_rounds + 8;
-
-  net::Network::Options options;
-  options.bit_budget = shared.sched.bit_budget;
-  options.seed = params.seed;
-  options.num_threads = params.num_threads;
-  options.delivery = params.delivery;
-  apply_transport_options(options, params, logical_bound);
-  if (params.tracer != nullptr) params.tracer->set_section("mw-greedy");
-  net::Network net = make_bipartite_network(inst, options);
-
-  for (fl::FacilityId i = 0; i < inst.num_facilities(); ++i) {
-    net.set_process(facility_node(i),
-                    maybe_reliable(std::make_unique<FacilityProc>(
-                                       &shared, inst.opening_cost(i),
-                                       facility_local_edges(inst, i)),
-                                   params, shared.sched.bit_budget));
-  }
-  for (fl::ClientId j = 0; j < inst.num_clients(); ++j) {
-    net.set_process(client_node(inst, j),
-                    maybe_reliable(std::make_unique<ClientProc>(
-                                       &shared, client_local_edges(inst, j)),
-                                   params, shared.sched.bit_budget));
-  }
-
-  const std::uint64_t max_rounds = transport_max_rounds(params, logical_bound);
-  return with_fault_context(net, [&] {
-    MwGreedyOutcome outcome{fl::IntegralSolution(inst), net.run(max_rounds),
-                            shared.sched, 0, {}};
-
-    for (fl::FacilityId i = 0; i < inst.num_facilities(); ++i) {
-      const auto& proc =
-          transport_inner<FacilityProc>(net, params, facility_node(i));
-      if (proc.opened()) outcome.solution.open(i);
-    }
-    for (fl::ClientId j = 0; j < inst.num_clients(); ++j) {
-      const auto& proc =
-          transport_inner<ClientProc>(net, params, client_node(inst, j));
-      if (proc.covered()) {
-        outcome.solution.assign(
-            j, node_to_facility(proc.assigned_facility_node()));
-      }
-      if (proc.covered_by_mopup()) ++outcome.mopup_clients;
-    }
-    outcome.transport = collect_transport_stats(net, params);
-    if (params.mopup) {
-      std::string why;
-      DFLP_CHECK_MSG(outcome.solution.is_feasible(inst, &why),
-                     "mw-greedy with mop-up must be feasible: " << why);
-    }
-    return outcome;
-  });
+  const Shared shared(inst, params);
+  Nodes nodes(inst);
+  MwGreedyOutcome outcome{fl::IntegralSolution(inst), {}, shared.sched, 0, {}};
+  outcome.transport = run_protocol(
+      inst, params,
+      {"mw-greedy", shared.sched.bit_budget, params.seed,
+       shared.scheduled_rounds + 8},
+      [&](net::NodeId v) { return make_node(inst, shared, nodes, v); },
+      [&](const net::NetMetrics& metrics) {
+        outcome.metrics = metrics;
+        outcome.mopup_clients =
+            read_solution(inst, params, nodes, "mw-greedy", outcome);
+      });
+  return outcome;
 }
 
 MwGreedyAsyncOutcome run_mw_greedy_async(const fl::Instance& inst,
                                          const MwParams& params,
                                          int max_delay) {
-  auto shared = std::make_unique<Shared>();
-  shared->sched = derive_schedule(inst, params);
-  shared->params = params;
-  shared->scheduled_rounds =
-      4ULL * static_cast<std::uint64_t>(shared->sched.levels) *
-      static_cast<std::uint64_t>(shared->sched.subphases);
-
+  const Shared shared(inst, params);
   net::AsyncNetwork::Options options;
   // The synchronizer tags every message with its logical round, so the
   // budget grows by the tag size: O(log rounds) = O(log N) extra bits.
   options.bit_budget =
-      shared->sched.bit_budget +
+      shared.sched.bit_budget +
       net::bits_for_value(
-          static_cast<std::int64_t>(shared->scheduled_rounds + 8)) +
+          static_cast<std::int64_t>(shared.scheduled_rounds + 8)) +
       2;
   options.max_delay = max_delay;
   options.seed = params.seed;
   options.tracer = params.tracer;
   if (params.tracer != nullptr) params.tracer->set_section("mw-greedy-async");
+  net::AsyncNetwork net =
+      make_bipartite_network<net::AsyncNetwork>(inst, options);
 
-  net::AsyncNetwork net(
-      static_cast<std::size_t>(inst.num_facilities() + inst.num_clients()),
-      options);
-  for (fl::FacilityId i = 0; i < inst.num_facilities(); ++i) {
-    for (const fl::FacilityEdge& e : inst.facility_edges(i))
-      net.add_edge(facility_node(i), client_node(inst, e.client));
-  }
-  net.finalize();
-
-  const Shared* shared_ptr = shared.get();
-  auto make_inner = [&](net::NodeId id) -> std::unique_ptr<net::Process> {
-    if (id < inst.num_facilities()) {
-      const fl::FacilityId i = node_to_facility(id);
-      return std::make_unique<FacilityProc>(shared_ptr,
-                                            inst.opening_cost(i),
-                                            facility_local_edges(inst, i));
-    }
-    const fl::ClientId j = node_to_client(inst, id);
-    return std::make_unique<ClientProc>(shared_ptr,
-                                        client_local_edges(inst, j));
-  };
-
-  MwGreedyAsyncOutcome outcome{fl::IntegralSolution(inst),
-                               net::run_synchronized(
-                                   net, make_inner,
-                                   /*max_events=*/1ULL << 32),
-                               shared->sched, 0};
-
-  for (fl::FacilityId i = 0; i < inst.num_facilities(); ++i) {
+  Nodes nodes(inst);
+  MwGreedyAsyncOutcome outcome{
+      fl::IntegralSolution(inst),
+      net::run_synchronized(
+          net,
+          [&](net::NodeId v) { return make_node(inst, shared, nodes, v); },
+          /*max_events=*/1ULL << 32),
+      shared.sched, 0};
+  for (std::size_t v = 0; v < net.num_nodes(); ++v) {
     const auto& sync = static_cast<const net::Synchronizer&>(
-        net.process(facility_node(i)));
+        net.process(static_cast<net::NodeId>(v)));
     outcome.max_rounds_executed =
         std::max(outcome.max_rounds_executed, sync.rounds_executed());
-    if (static_cast<const FacilityProc&>(sync.inner()).opened())
-      outcome.solution.open(i);
   }
-  for (fl::ClientId j = 0; j < inst.num_clients(); ++j) {
-    const auto& sync = static_cast<const net::Synchronizer&>(
-        net.process(client_node(inst, j)));
-    outcome.max_rounds_executed =
-        std::max(outcome.max_rounds_executed, sync.rounds_executed());
-    const auto& proc = static_cast<const ClientProc&>(sync.inner());
-    if (proc.covered()) {
-      outcome.solution.assign(
-          j, node_to_facility(proc.assigned_facility_node()));
-    }
-  }
-  if (params.mopup) {
-    std::string why;
-    DFLP_CHECK_MSG(outcome.solution.is_feasible(inst, &why),
-                   "async mw-greedy with mop-up must be feasible: " << why);
-  }
+  (void)read_solution(inst, params, nodes, "async mw-greedy", outcome);
   return outcome;
 }
 

@@ -1,12 +1,9 @@
 #include "core/rand_round.h"
 
 #include <algorithm>
-#include <cmath>
-#include <limits>
 
 #include "common/check.h"
 #include "core/bipartite.h"
-#include "core/transport.h"
 
 namespace dflp::core {
 
@@ -17,7 +14,6 @@ constexpr std::uint8_t kOpenReq = 21;
 constexpr std::uint8_t kGrant = 22;
 
 struct Shared {
-  const MwSchedule* sched = nullptr;
   double boost = 1.0;
   std::uint64_t scheduled_rounds = 0;  // 2 * rounding_phases
 };
@@ -67,14 +63,10 @@ class ClientProc final : public net::Process {
  public:
   /// `edges` in cost order; `x` parallel fractional support.
   ClientProc(const Shared* shared, std::vector<LocalEdge> edges,
-             std::vector<double> x)
-      : shared_(shared), edges_(std::move(edges)), x_(std::move(x)),
-        open_known_(edges_.size(), 0) {
+             std::span<const double> x)
+      : shared_(shared), edges_(std::move(edges)), x_(x),
+        open_known_(edges_.size(), 0), peers_(edges_) {
     DFLP_CHECK(x_.size() == edges_.size());
-    by_peer_.reserve(edges_.size());
-    for (std::size_t t = 0; t < edges_.size(); ++t)
-      by_peer_.push_back({edges_[t].peer, t});
-    std::sort(by_peer_.begin(), by_peer_.end());
   }
 
   [[nodiscard]] bool covered() const noexcept { return covered_; }
@@ -87,13 +79,7 @@ class ClientProc final : public net::Process {
                 std::span<const net::Message> inbox) override {
     const std::uint64_t r = ctx.round();
     for (const net::Message& msg : inbox) {
-      if (msg.kind == kOpen) {
-        const auto it = std::lower_bound(
-            by_peer_.begin(), by_peer_.end(),
-            std::pair<net::NodeId, std::size_t>{msg.src, 0});
-        DFLP_CHECK(it != by_peer_.end() && it->first == msg.src);
-        open_known_[it->second] = 1;
-      }
+      if (msg.kind == kOpen) open_known_[peers_.at(msg.src)] = 1;
     }
 
     if (r < shared_->scheduled_rounds) {
@@ -150,9 +136,9 @@ class ClientProc final : public net::Process {
 
   const Shared* shared_;
   std::vector<LocalEdge> edges_;
-  std::vector<double> x_;
+  std::span<const double> x_;  // into the fractional input
   std::vector<std::uint8_t> open_known_;
-  std::vector<std::pair<net::NodeId, std::size_t>> by_peer_;
+  PeerIndex peers_;
   bool covered_ = false;
   bool fallback_ = false;
   net::NodeId assigned_ = net::kNoNode;
@@ -170,66 +156,51 @@ RoundOutcome run_rand_round(const fl::Instance& inst,
     DFLP_CHECK_MSG(fractional.is_feasible(inst, 1e-6, &why),
                    "rounding requires a feasible fractional input: " << why);
   }
-  Shared shared;
-  shared.sched = &schedule;
-  shared.boost = params.rounding_boost;
-  shared.scheduled_rounds =
-      2ULL * static_cast<std::uint64_t>(schedule.rounding_phases);
+  const Shared shared{
+      params.rounding_boost,
+      2ULL * static_cast<std::uint64_t>(schedule.rounding_phases)};
 
-  const std::uint64_t logical_bound = shared.scheduled_rounds + 8;
+  NodePrograms<FacilityProc, ClientProc> nodes(inst);
+  const auto make_node = [&](net::NodeId v) {
+    return nodes.make(
+        v,
+        [&](fl::FacilityId i) {
+          return std::make_unique<FacilityProc>(
+              &shared, fractional.y[static_cast<std::size_t>(i)]);
+        },
+        [&](fl::ClientId j) {
+          return std::make_unique<ClientProc>(
+              &shared, client_local_edges(inst, j),
+              std::span<const double>(fractional.x)
+                  .subspan(inst.client_edge_offset(j),
+                           inst.client_edges(j).size()));
+        });
+  };
 
-  net::Network::Options options;
-  options.bit_budget = schedule.bit_budget;
-  options.seed = params.seed ^ 0x5EEDB00572ULL;  // decorrelate from stage 1
-  options.num_threads = params.num_threads;
-  options.delivery = params.delivery;
-  apply_transport_options(options, params, logical_bound);
-  if (params.tracer != nullptr) params.tracer->set_section("rand-round");
-  net::Network net = make_bipartite_network(inst, options);
-
-  for (fl::FacilityId i = 0; i < inst.num_facilities(); ++i) {
-    net.set_process(facility_node(i),
-                    maybe_reliable(std::make_unique<FacilityProc>(
-                                       &shared,
-                                       fractional.y[static_cast<std::size_t>(i)]),
-                                   params, schedule.bit_budget));
-  }
-  for (fl::ClientId j = 0; j < inst.num_clients(); ++j) {
-    const std::size_t base = inst.client_edge_offset(j);
-    const std::size_t deg = inst.client_edges(j).size();
-    std::vector<double> x(fractional.x.begin() + static_cast<std::ptrdiff_t>(base),
-                          fractional.x.begin() +
-                              static_cast<std::ptrdiff_t>(base + deg));
-    net.set_process(client_node(inst, j),
-                    maybe_reliable(std::make_unique<ClientProc>(
-                                       &shared, client_local_edges(inst, j),
-                                       std::move(x)),
-                                   params, schedule.bit_budget));
-  }
-
-  return with_fault_context(net, [&] {
-    RoundOutcome outcome(inst);
-    outcome.metrics = net.run(transport_max_rounds(params, logical_bound));
-
-    for (fl::FacilityId i = 0; i < inst.num_facilities(); ++i) {
-      const auto& proc =
-          transport_inner<FacilityProc>(net, params, facility_node(i));
-      if (proc.opened()) outcome.solution.open(i);
-    }
-    for (fl::ClientId j = 0; j < inst.num_clients(); ++j) {
-      const auto& proc =
-          transport_inner<ClientProc>(net, params, client_node(inst, j));
-      DFLP_CHECK(proc.covered());
-      outcome.solution.assign(j,
-                              node_to_facility(proc.assigned_facility_node()));
-      if (proc.used_fallback()) ++outcome.fallback_clients;
-    }
-    outcome.transport = collect_transport_stats(net, params);
-    std::string why;
-    DFLP_CHECK_MSG(outcome.solution.is_feasible(inst, &why),
-                   "rounded solution must be feasible: " << why);
-    return outcome;
-  });
+  RoundOutcome outcome(inst);
+  outcome.transport = run_protocol(
+      inst, params,
+      {"rand-round", schedule.bit_budget,
+       params.seed ^ 0x5EEDB00572ULL,  // decorrelate from stage 1
+       shared.scheduled_rounds + 8},
+      make_node, [&](const net::NetMetrics& metrics) {
+        outcome.metrics = metrics;
+        for (fl::FacilityId i = 0; i < inst.num_facilities(); ++i) {
+          if (nodes.facility[static_cast<std::size_t>(i)]->opened())
+            outcome.solution.open(i);
+        }
+        for (fl::ClientId j = 0; j < inst.num_clients(); ++j) {
+          const ClientProc& proc = *nodes.client[static_cast<std::size_t>(j)];
+          DFLP_CHECK(proc.covered());
+          outcome.solution.assign(
+              j, node_to_facility(proc.assigned_facility_node()));
+          if (proc.used_fallback()) ++outcome.fallback_clients;
+        }
+        std::string why;
+        DFLP_CHECK_MSG(outcome.solution.is_feasible(inst, &why),
+                       "rounded solution must be feasible: " << why);
+      });
+  return outcome;
 }
 
 }  // namespace dflp::core

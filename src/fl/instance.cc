@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <limits>
 #include <sstream>
 
 #include "common/check.h"
@@ -28,6 +29,15 @@ FacilityId InstanceBuilder::add_facility(Cost opening_cost) {
 }
 
 ClientId InstanceBuilder::add_client() { return num_clients_++; }
+
+ClientId InstanceBuilder::add_clients(std::int32_t count) {
+  constexpr std::int32_t kMax = std::numeric_limits<std::int32_t>::max();
+  DFLP_CHECK_MSG(count >= 0 && count <= kMax - num_clients_,
+                 "cannot add " << count << " clients to " << num_clients_);
+  const ClientId first = num_clients_;
+  num_clients_ += count;
+  return first;
+}
 
 void InstanceBuilder::connect(FacilityId i, ClientId j, Cost cost) {
   DFLP_CHECK_MSG(i >= 0 && static_cast<std::size_t>(i) < opening_.size(),

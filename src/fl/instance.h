@@ -67,6 +67,9 @@ class InstanceBuilder {
   /// Returns the new client's id (dense, in insertion order).
   ClientId add_client();
 
+  /// Adds `count` clients in O(1); returns the first new id.
+  ClientId add_clients(std::int32_t count);
+
   /// Declares that facility `i` can serve client `j` at cost `cost`.
   /// Duplicate (i, j) pairs are rejected at build().
   void connect(FacilityId i, ClientId j, Cost cost);

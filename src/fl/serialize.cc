@@ -1,6 +1,7 @@
 #include "fl/serialize.h"
 
 #include <istream>
+#include <limits>
 #include <ostream>
 #include <sstream>
 
@@ -40,8 +41,18 @@ Instance read_instance(std::istream& is) {
   std::int64_t n = 0;
   std::int64_t edges = 0;
   is >> m >> n >> edges;
-  DFLP_CHECK_MSG(is && m > 0 && n > 0 && edges >= 0,
+  // Ids are int32; and since every client needs an edge, n <= E. Nothing
+  // below loops or allocates on a count the bytes read so far do not back:
+  // each facility and edge consumes its own line, and the n clients are one
+  // counter until the E >= n edge lines have been read.
+  constexpr std::int64_t kMaxCount = std::numeric_limits<std::int32_t>::max();
+  DFLP_CHECK_MSG(is && m > 0 && n > 0 && edges >= 0 && m <= kMaxCount &&
+                     n <= kMaxCount && edges <= kMaxCount,
                  "bad dimensions m=" << m << " n=" << n << " E=" << edges);
+  DFLP_CHECK_MSG(n <= edges, "bad dimensions: " << n
+                                                 << " clients need at least "
+                                                    "as many edges, got E="
+                                                 << edges);
 
   InstanceBuilder builder;
   for (std::int64_t i = 0; i < m; ++i) {
@@ -51,13 +62,17 @@ Instance read_instance(std::istream& is) {
     DFLP_CHECK_MSG(!is.fail(), "malformed opening cost at index " << i);
     builder.add_facility(f);
   }
-  for (std::int64_t j = 0; j < n; ++j) builder.add_client();
+  builder.add_clients(static_cast<std::int32_t>(n));
   for (std::int64_t e = 0; e < edges; ++e) {
     std::int64_t i = 0;
     std::int64_t j = 0;
     Cost c = 0.0;
     is >> i >> j >> c;
     DFLP_CHECK_MSG(!is.fail(), "malformed edge line " << e);
+    // Range-check before the int32 narrowing, which would wrap.
+    DFLP_CHECK_MSG(i >= 0 && i < m && j >= 0 && j < n,
+                   "edge line " << e << " names facility " << i
+                                << " / client " << j << " out of range");
     builder.connect(static_cast<FacilityId>(i), static_cast<ClientId>(j), c);
   }
   return builder.build();
@@ -168,9 +183,15 @@ DeltaLog read_delta_log(std::istream& is) {
     is >> deg;
     DFLP_CHECK_MSG(!is.fail() && deg >= 0,
                    "bad edge count on delta line " << line);
-    std::vector<KeyedEdge> edges(static_cast<std::size_t>(deg));
-    for (KeyedEdge& e : edges) is >> e.peer >> e.cost;
-    DFLP_CHECK_MSG(!is.fail(), "truncated edges on delta line " << line);
+    // One edge at a time: `deg` is untrusted input, so only edges actually
+    // read are ever allocated.
+    std::vector<KeyedEdge> edges;
+    for (std::int64_t e = 0; e < deg; ++e) {
+      KeyedEdge edge;
+      is >> edge.peer >> edge.cost;
+      DFLP_CHECK_MSG(!is.fail(), "truncated edges on delta line " << line);
+      edges.push_back(edge);
+    }
     return edges;
   };
 

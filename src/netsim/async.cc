@@ -1,7 +1,6 @@
 #include "netsim/async.h"
 
 #include <algorithm>
-#include <functional>
 #include <sstream>
 
 #include "common/check.h"
@@ -27,37 +26,13 @@ AsyncNetwork::AsyncNetwork(std::size_t num_nodes, Options options)
 
 void AsyncNetwork::add_edge(NodeId u, NodeId v) {
   DFLP_CHECK_MSG(!finalized_, "add_edge after finalize");
-  const auto n = static_cast<NodeId>(processes_.size());
-  DFLP_CHECK_MSG(u >= 0 && u < n && v >= 0 && v < n, "edge out of range");
-  DFLP_CHECK_MSG(u != v, "self loop at node " << u);
-  edge_buffer_.emplace_back(u, v);
+  adjacency_.add_edge(processes_.size(), u, v);
 }
 
 void AsyncNetwork::finalize() {
   DFLP_CHECK_MSG(!finalized_, "finalize called twice");
   const std::size_t n = processes_.size();
-  std::vector<std::int32_t> degree(n, 0);
-  for (auto [u, v] : edge_buffer_) {
-    ++degree[static_cast<std::size_t>(u)];
-    ++degree[static_cast<std::size_t>(v)];
-  }
-  adj_offset_.assign(n + 1, 0);
-  for (std::size_t i = 0; i < n; ++i)
-    adj_offset_[i + 1] = adj_offset_[i] + degree[i];
-  adj_.assign(static_cast<std::size_t>(adj_offset_[n]), kNoNode);
-  std::vector<std::int32_t> cursor(adj_offset_.begin(), adj_offset_.end() - 1);
-  for (auto [u, v] : edge_buffer_) {
-    adj_[static_cast<std::size_t>(cursor[static_cast<std::size_t>(u)]++)] = v;
-    adj_[static_cast<std::size_t>(cursor[static_cast<std::size_t>(v)]++)] = u;
-  }
-  for (std::size_t i = 0; i < n; ++i) {
-    auto begin = adj_.begin() + adj_offset_[i];
-    auto end = adj_.begin() + adj_offset_[i + 1];
-    std::sort(begin, end);
-    DFLP_CHECK_MSG(std::adjacent_find(begin, end) == end, "duplicate edge");
-  }
-  edge_buffer_.clear();
-  edge_buffer_.shrink_to_fit();
+  adjacency_.finalize(n);
 
   // IMPORTANT: identical RNG stream derivation as the synchronous Network,
   // so wrapped protocols draw the same coins in both worlds.
@@ -80,8 +55,7 @@ std::span<const NodeId> AsyncNetwork::neighbors_of(NodeId id) const {
   DFLP_CHECK(finalized_);
   const auto i = static_cast<std::size_t>(id);
   DFLP_CHECK(i < processes_.size());
-  return {adj_.data() + adj_offset_[i],
-          static_cast<std::size_t>(adj_offset_[i + 1] - adj_offset_[i])};
+  return adjacency_.neighbors(i);
 }
 
 AsyncProcess& AsyncNetwork::process(NodeId id) {
@@ -157,7 +131,7 @@ void AsyncNetwork::flush_trace() {
   if (tracer == nullptr) return;
   TraceSection info;
   info.nodes = processes_.size();
-  info.edges = adj_.size() / 2;
+  info.edges = adjacency_.adj.size() / 2;
   info.threads = 1;  // event loop is serial
   info.seed = options_.seed;
   info.bit_budget = options_.bit_budget;
@@ -386,7 +360,7 @@ void Synchronizer::on_message(NodeContext& ctx, const Message& msg) {
 
 AsyncMetrics run_synchronized(
     AsyncNetwork& net,
-    const std::function<std::unique_ptr<Process>(NodeId)>& make_inner,
+    const ProcessFactory& make_inner,
     std::uint64_t max_events) {
   for (NodeId id = 0; id < static_cast<NodeId>(net.num_nodes()); ++id) {
     net.set_process(id,

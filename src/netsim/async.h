@@ -121,9 +121,7 @@ class AsyncNetwork final : public MessageSink {
 
   Options options_;
   bool finalized_ = false;
-  std::vector<std::pair<NodeId, NodeId>> edge_buffer_;
-  std::vector<std::int32_t> adj_offset_;
-  std::vector<NodeId> adj_;
+  Adjacency adjacency_;
   std::vector<std::unique_ptr<AsyncProcess>> processes_;
   std::vector<Rng> node_rngs_;
   std::vector<std::uint8_t> halted_;
@@ -228,7 +226,7 @@ class Synchronizer final : public AsyncProcess {
 /// the metrics. Access adapters via `net.process()` afterwards.
 [[nodiscard]] AsyncMetrics run_synchronized(
     AsyncNetwork& net,
-    const std::function<std::unique_ptr<Process>(NodeId)>& make_inner,
+    const ProcessFactory& make_inner,
     std::uint64_t max_events);
 
 }  // namespace dflp::net

@@ -97,9 +97,6 @@ class FaultPlan {
       return drop_probability > 0.0 || duplicate_probability > 0.0 ||
              burst.enabled() || !partitions.empty();
     }
-    [[nodiscard]] bool any_crash() const noexcept {
-      return !crashes.empty() || random_crash_fraction > 0.0;
-    }
   };
 
   /// Verdict for one staged message.
@@ -128,9 +125,6 @@ class FaultPlan {
   [[nodiscard]] const Options& options() const noexcept { return options_; }
   [[nodiscard]] bool message_hazards() const noexcept {
     return options_.any_message_hazard();
-  }
-  [[nodiscard]] bool has_crashes() const noexcept {
-    return !crash_schedule_.empty();
   }
 
   /// Crash events sorted by (round, node) — scheduled plus sampled random

@@ -60,6 +60,10 @@ struct NetMetrics {
   /// 40-byte record gather per delivery).
   std::uint64_t bytes_moved = 0;
 
+  /// Folds a later execution's metrics into these: counters add,
+  /// high-water marks take the max, the first drop stays the earliest.
+  void merge(const NetMetrics& later) noexcept;
+
   /// Human-readable one-line summary.
   [[nodiscard]] std::string to_string() const;
 };

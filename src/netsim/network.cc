@@ -76,17 +76,46 @@ Network::Network(Network&&) noexcept = default;
 Network& Network::operator=(Network&&) noexcept = default;
 Network::~Network() = default;
 
+void Adjacency::add_edge(std::size_t n, NodeId u, NodeId v) {
+  DFLP_CHECK_MSG(u >= 0 && static_cast<std::size_t>(u) < n && v >= 0 &&
+                     static_cast<std::size_t>(v) < n,
+                 "edge (" << u << "," << v << ") out of range, n=" << n);
+  DFLP_CHECK_MSG(u != v, "self loop at node " << u);
+  edges.emplace_back(u, v);
+}
+
+void Adjacency::finalize(std::size_t n) {
+  std::vector<std::int32_t> degree(n, 0);
+  for (auto [u, v] : edges) {
+    ++degree[static_cast<std::size_t>(u)];
+    ++degree[static_cast<std::size_t>(v)];
+  }
+  offset.assign(n + 1, 0);
+  for (std::size_t i = 0; i < n; ++i) offset[i + 1] = offset[i] + degree[i];
+  adj.assign(static_cast<std::size_t>(offset[n]), kNoNode);
+  std::vector<std::int32_t> cursor(offset.begin(), offset.end() - 1);
+  for (auto [u, v] : edges) {
+    adj[static_cast<std::size_t>(cursor[static_cast<std::size_t>(u)]++)] = v;
+    adj[static_cast<std::size_t>(cursor[static_cast<std::size_t>(v)]++)] = u;
+  }
+  for (std::size_t i = 0; i < n; ++i) {
+    auto begin = adj.begin() + offset[i];
+    auto end = adj.begin() + offset[i + 1];
+    std::sort(begin, end);
+    DFLP_CHECK_MSG(std::adjacent_find(begin, end) == end,
+                   "duplicate edge at node " << i);
+  }
+  edges.clear();
+  edges.shrink_to_fit();
+}
+
 void Network::add_edge(NodeId u, NodeId v) {
   DFLP_CHECK_MSG(!finalized_, "add_edge after finalize");
   DFLP_CHECK_MSG(options_.topology != Topology::kClique,
                  "add_edge (" << u << "," << v
                               << ") under Topology::kClique — the clique's "
                                  "edges are implicit");
-  const auto n = static_cast<NodeId>(processes_.size());
-  DFLP_CHECK_MSG(u >= 0 && u < n && v >= 0 && v < n,
-                 "edge (" << u << "," << v << ") out of range, n=" << n);
-  DFLP_CHECK_MSG(u != v, "self loop at node " << u);
-  edge_buffer_.emplace_back(u, v);
+  adjacency_.add_edge(processes_.size(), u, v);
 }
 
 void Network::finalize() {
@@ -118,34 +147,9 @@ void Network::finalize() {
       clique_adj_[k] = static_cast<NodeId>(k < n ? k : k - n);
     num_edges_ = n * (n - 1) / 2;
   } else {
-    std::vector<std::int32_t> degree(n, 0);
-    for (auto [u, v] : edge_buffer_) {
-      ++degree[static_cast<std::size_t>(u)];
-      ++degree[static_cast<std::size_t>(v)];
-    }
-    adj_offset_.assign(n + 1, 0);
-    for (std::size_t i = 0; i < n; ++i)
-      adj_offset_[i + 1] = adj_offset_[i] + degree[i];
-    adj_.assign(static_cast<std::size_t>(adj_offset_[n]), kNoNode);
-    std::vector<std::int32_t> cursor(adj_offset_.begin(),
-                                     adj_offset_.end() - 1);
-    for (auto [u, v] : edge_buffer_) {
-      adj_[static_cast<std::size_t>(cursor[static_cast<std::size_t>(u)]++)] =
-          v;
-      adj_[static_cast<std::size_t>(cursor[static_cast<std::size_t>(v)]++)] =
-          u;
-    }
-    for (std::size_t i = 0; i < n; ++i) {
-      auto begin = adj_.begin() + adj_offset_[i];
-      auto end = adj_.begin() + adj_offset_[i + 1];
-      std::sort(begin, end);
-      DFLP_CHECK_MSG(std::adjacent_find(begin, end) == end,
-                     "duplicate edge at node " << i);
-    }
-    num_edges_ = edge_buffer_.size();
+    adjacency_.finalize(n);
+    num_edges_ = adjacency_.adj.size() / 2;
   }
-  edge_buffer_.clear();
-  edge_buffer_.shrink_to_fit();
 
   node_rngs_.reserve(n);
   Rng seeder(options_.seed);
@@ -164,7 +168,7 @@ void Network::finalize() {
   inbox_scratch_.resize(num_shards);
   header_scratch_.resize(num_shards);
   for (auto& set : rec_ranges_) set.assign(n, RecRange{});
-  edge_sends_slab_.assign(adj_.size(), 0);
+  edge_sends_slab_.assign(adjacency_.adj.size(), 0);
   if (clique_) {
     clique_scratch_.resize(num_shards);
     for (CliqueScratch& cs : clique_scratch_) {
@@ -193,10 +197,6 @@ std::span<const NodeId> Network::neighbors_of(NodeId id) const {
   const auto i = static_cast<std::size_t>(id);
   DFLP_CHECK(i < processes_.size());
   return neighbors_unchecked(i);
-}
-
-bool Network::halted(NodeId id) const {
-  return halted_.at(static_cast<std::size_t>(id)) != 0;
 }
 
 Process& Network::process(NodeId id) {
@@ -409,27 +409,6 @@ NetMetrics Network::run(std::uint64_t max_rounds) {
   // Merged even when a round throws (protocol failure under fault
   // injection): the fault counters must survive into cumulative_ so the
   // failure diagnostic can name the first lost message.
-  const auto merge_cumulative = [&] {
-    cumulative_.rounds += run_metrics.rounds;
-    cumulative_.messages += run_metrics.messages;
-    cumulative_.total_bits += run_metrics.total_bits;
-    cumulative_.max_message_bits =
-        std::max(cumulative_.max_message_bits, run_metrics.max_message_bits);
-    cumulative_.max_messages_in_round = std::max(
-        cumulative_.max_messages_in_round, run_metrics.max_messages_in_round);
-    if (cumulative_.dropped == 0 && run_metrics.dropped > 0) {
-      cumulative_.first_drop_round = run_metrics.first_drop_round;
-      cumulative_.first_drop_src = run_metrics.first_drop_src;
-      cumulative_.first_drop_dst = run_metrics.first_drop_dst;
-      cumulative_.first_drop_kind = run_metrics.first_drop_kind;
-    }
-    cumulative_.dropped += run_metrics.dropped;
-    cumulative_.duplicated += run_metrics.duplicated;
-    cumulative_.crashed += run_metrics.crashed;
-    cumulative_.bytes_moved += run_metrics.bytes_moved;
-    cumulative_.arena_peak_messages = std::max(
-        cumulative_.arena_peak_messages, run_metrics.arena_peak_messages);
-  };
   try {
   for (std::uint64_t step = 0; step < max_rounds; ++step) {
     // Per-round trace state. The `before` counters turn run_metrics'
@@ -517,7 +496,7 @@ NetMetrics Network::run(std::uint64_t max_rounds) {
         } else {
           buffer.begin(
               id, round_, nbrs, limits, &log,
-              {edge_sends_slab_.data() + adj_offset_[i], nbrs.size()});
+              {edge_sends_slab_.data() + adjacency_.offset[i], nbrs.size()});
         }
         NodeContext ctx(buffer, id, round_, nbrs, node_rngs_[i]);
         processes_[i]->on_round(ctx, std::span<const Message>(inbox));
@@ -889,11 +868,11 @@ NetMetrics Network::run(std::uint64_t max_rounds) {
     round_ += 1;
   }
   } catch (...) {
-    merge_cumulative();
+    cumulative_.merge(run_metrics);
     throw;
   }
 
-  merge_cumulative();
+  cumulative_.merge(run_metrics);
   return run_metrics;
 }
 

@@ -147,6 +147,7 @@
 #pragma once
 
 #include <cstdint>
+#include <functional>
 #include <memory>
 #include <span>
 #include <string_view>
@@ -343,11 +344,35 @@ class Process {
   virtual void on_round(NodeContext& ctx, std::span<const Message> inbox) = 0;
 };
 
+/// Builds node v's program. Runners install the same factory on a Network
+/// or, under the alpha-synchronizer, on an AsyncNetwork.
+using ProcessFactory = std::function<std::unique_ptr<Process>(NodeId)>;
+
 /// How each node's inbox is ordered before delivery.
 enum class DeliveryOrder : std::uint8_t {
   kBySource,       ///< ascending source id (canonical deterministic order)
   kRandomShuffle,  ///< per-(seed, node, round) seeded shuffle per inbox
   kReverseSource,  ///< descending source id (simple adversary)
+};
+
+/// An explicit undirected graph on `n` nodes as sorted CSR neighbour
+/// lists, shared by Network and AsyncNetwork: add_edge() validates and
+/// buffers an edge, finalize() builds the lists and rejects duplicates.
+struct Adjacency {
+  void add_edge(std::size_t n, NodeId u, NodeId v);
+  void finalize(std::size_t n);
+
+  [[nodiscard]] std::span<const NodeId> neighbors(
+      std::size_t i) const noexcept {
+    return {adj.data() + offset[i],
+            static_cast<std::size_t>(offset[i + 1] - offset[i])};
+  }
+
+  std::vector<std::pair<NodeId, NodeId>> edges;  ///< until finalize()
+  /// Node i's list is adj[offset[i] .. offset[i+1]); each entry is one
+  /// directed edge slot.
+  std::vector<std::int32_t> offset;
+  std::vector<NodeId> adj;
 };
 
 class Network final {
@@ -411,7 +436,6 @@ class Network final {
   /// neighbour list; the clique returns the implicit rotation
   /// [id+1, ..., N-1, 0, ..., id-1] — every node except `id`, unsorted.
   [[nodiscard]] std::span<const NodeId> neighbors_of(NodeId id) const;
-  [[nodiscard]] bool halted(NodeId id) const;
   [[nodiscard]] bool all_halted() const noexcept {
     return live_nodes_.empty();
   }
@@ -447,8 +471,7 @@ class Network final {
       std::size_t i) const noexcept {
     if (clique_)
       return {clique_adj_.data() + i + 1, processes_.size() - 1};
-    return {adj_.data() + adj_offset_[i],
-            static_cast<std::size_t>(adj_offset_[i + 1] - adj_offset_[i])};
+    return adjacency_.neighbors(i);
   }
 
   /// Materializes node i's inbox: gathers the WireRecords addressed by its
@@ -465,11 +488,9 @@ class Network final {
   bool finalized_ = false;
   std::size_t num_edges_ = 0;
 
-  // CSR adjacency (sorted neighbour lists). Unused under Topology::kClique,
-  // where adjacency is the shared rotation array below.
-  std::vector<std::pair<NodeId, NodeId>> edge_buffer_;  // pre-finalize
-  std::vector<std::int32_t> adj_offset_;
-  std::vector<NodeId> adj_;
+  // Explicit topology. Unused under Topology::kClique, where adjacency is
+  // the shared rotation array below.
+  Adjacency adjacency_;
 
   // Clique topology: clique_adj_[k] = k mod N over 2N-1 entries, so node
   // i's neighbour span is clique_adj_[i+1 .. i+N-1] — O(N) storage for all
@@ -533,7 +554,7 @@ class Network final {
   // and the two swap each round. dst_count_ is the counting-sort tally
   // (all-zero between commits), dst_cursor_ the per-destination scatter
   // cursors. edge_sends_slab_ is the CSR per-edge allowance scratch handed
-  // to each node's RoundBuffer (offset adj_offset_[i]). survivors_ is
+  // to each node's RoundBuffer (offset adjacency_.offset[i]). survivors_ is
   // filled only on rounds with message hazards; fault-free rounds scatter
   // straight from the logs and leave it empty.
   std::array<std::vector<StageLog>, 2> stage_logs_;

@@ -414,5 +414,16 @@ TEST(Serialize, RejectsMalformedSnapshotAndLog) {
                CheckError);
 }
 
+TEST(Serialize, RejectsEdgeCountsTheLogDoesNotBack) {
+  // A huge declared degree must fail as a truncated line, not by trying to
+  // allocate that many edges up front.
+  EXPECT_THROW((void)delta_log_from_text(
+                   "dflp-delta-log 1\n1\narrive 5 1000000000000000\n"),
+               CheckError);
+  EXPECT_THROW((void)delta_log_from_text(
+                   "dflp-delta-log 1\n1\nopen 5 2.5 1000000000000000\n"),
+               CheckError);
+}
+
 }  // namespace
 }  // namespace dflp::fl

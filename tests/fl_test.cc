@@ -1,8 +1,10 @@
 // Unit tests for the UFL instance model, solutions and serialization.
 #include <gtest/gtest.h>
 
+#include <chrono>
 #include <cmath>
 #include <limits>
+#include <string>
 
 #include "common/check.h"
 #include "fl/instance.h"
@@ -299,6 +301,29 @@ TEST(Serialize, RejectsGarbage) {
 
 TEST(Serialize, RejectsTruncatedEdges) {
   EXPECT_THROW(from_text("dflp-ufl 1\n1 1 1\n5.0\n"), CheckError);
+}
+
+/// Expects `text` to be rejected with a CheckError in well under a second.
+void expect_fast_reject(const std::string& text) {
+  const auto start = std::chrono::steady_clock::now();
+  EXPECT_THROW((void)from_text(text), CheckError) << text;
+  EXPECT_LT(std::chrono::steady_clock::now() - start, std::chrono::seconds(1))
+      << text;
+}
+
+TEST(Serialize, RejectsDeclaredCountsTheBytesDoNotBack) {
+  // A client count past the int32 id range once spun the parser for as
+  // long as it took to overflow the client counter.
+  expect_fast_reject("dflp-ufl 1\n1 99999999999 1\n1\n0 0 1\n");
+  // In range, but the declared clients and edges are never supplied.
+  expect_fast_reject("dflp-ufl 1\n1 2000000000 2000000000\n1\n");
+  expect_fast_reject("dflp-ufl 1\n1 1 99999999999\n1\n0 0 1\n");
+  expect_fast_reject("dflp-ufl 1\n99999999999 1 1\n1\n0 0 1\n");
+  // Every client needs an edge.
+  expect_fast_reject("dflp-ufl 1\n1 2 1\n1\n0 0 1\n");
+  // Ids past int32 must not wrap onto valid ones.
+  expect_fast_reject("dflp-ufl 1\n1 1 1\n1\n4294967296 0 1\n");
+  expect_fast_reject("dflp-ufl 1\n1 1 1\n1\n0 4294967296 1\n");
 }
 
 }  // namespace
