@@ -61,16 +61,18 @@ class FacilityProc final : public net::Process {
         default:
           break;  // phases 1 and 3 belong to the clients
       }
+      ctx.idle_until(next_action_round(r));
       return;
     }
 
-    // Mop-up window. Round base+1: serve OPEN_REQs, then halt.
+    // Mop-up window. Round base+1: serve OPEN_REQs, then halt. (Round base
+    // makes no idle promise: the next action is base+1 anyway.)
     const std::uint64_t base = shared_->scheduled_rounds;
     if (!shared_->params.mopup || r >= base + 1) {
       bool served = false;
       for (const net::Message& msg : inbox) {
         if (msg.kind == kOpenReq) {
-          open_ = true;
+          open();
           ctx.send(msg.src, kGrant);
           served = true;
         }
@@ -83,33 +85,65 @@ class FacilityProc final : public net::Process {
   }
 
  private:
+  void open() {
+    open_ = true;
+    star_stale_ = true;  // the opening cost leaves every star
+  }
+
   void mark_covered(net::NodeId client) {
     const std::size_t t = peers_.at(client);
     if (!covered_[t]) {
       covered_[t] = 1;
       --uncovered_count_;
+      star_stale_ = true;
     }
   }
 
   /// Best star over uncovered neighbours: edges_ is cost-sorted, so scan
-  /// the prefix. Returns the ratio and fills `star_size`.
-  [[nodiscard]] double best_star(int* star_size) const {
-    double num = open_ ? 0.0 : opening_cost_;
-    double best = std::numeric_limits<double>::infinity();
-    int best_size = 0;
-    int size = 0;
-    for (std::size_t t = 0; t < edges_.size(); ++t) {
-      if (covered_[t]) continue;
-      num += edges_[t].cost;
-      ++size;
-      const double ratio = num / static_cast<double>(size);
-      if (ratio < best) {
-        best = ratio;
-        best_size = size;
+  /// the prefix. Returns the ratio and fills `star_size`. Cached between
+  /// the coverage and opening changes that can move it.
+  [[nodiscard]] double best_star(int* star_size) {
+    if (star_stale_) {
+      double num = open_ ? 0.0 : opening_cost_;
+      star_ratio_ = std::numeric_limits<double>::infinity();
+      star_size_ = 0;
+      int size = 0;
+      for (std::size_t t = 0; t < edges_.size(); ++t) {
+        if (covered_[t]) continue;
+        num += edges_[t].cost;
+        ++size;
+        const double ratio = num / static_cast<double>(size);
+        if (ratio < star_ratio_) {
+          star_ratio_ = ratio;
+          star_size_ = size;
+        }
       }
+      star_stale_ = false;
     }
-    *star_size = best_size;
-    return best;
+    *star_size = star_size_;
+    return star_ratio_;
+  }
+
+  /// The first round after `r` in which this facility can act when no
+  /// message reaches it (its NodeContext::idle_until promise): the first
+  /// phase-0 round whose rung admits its best star, as maybe_offer tests
+  /// it; the next phase-0 round, where it halts, once nothing is left to
+  /// serve; and the mop-up window when no rung admits the star.
+  [[nodiscard]] std::uint64_t next_action_round(std::uint64_t r) {
+    const std::uint64_t next_phase0 = (r / 4 + 1) * 4;
+    if (uncovered_count_ == 0) return next_phase0;
+    int star = 0;
+    const double ratio = best_star(&star);
+    const std::vector<double>& rungs = shared_->sched.thresholds;
+    // Rungs ascend, so the first rung >= ratio is the first that passes
+    // maybe_offer's `ratio <= threshold`.
+    const auto rung = std::lower_bound(rungs.begin(), rungs.end(), ratio);
+    const std::uint64_t base = shared_->scheduled_rounds;
+    if (rung == rungs.end()) return shared_->params.mopup ? base + 1 : base;
+    const auto level = static_cast<std::uint64_t>(rung - rungs.begin());
+    return std::max(next_phase0,
+                    4 * level *
+                        static_cast<std::uint64_t>(shared_->sched.subphases));
   }
 
   void maybe_offer(net::NodeContext& ctx, std::uint64_t r) {
@@ -160,7 +194,7 @@ class FacilityProc final : public net::Process {
     if (static_cast<int>(accepters.size()) < needed) return;
 
     ctx.annotate("open");
-    open_ = true;
+    open();
     for (net::NodeId c : accepters) ctx.send(c, kGrant);
   }
 
@@ -172,6 +206,9 @@ class FacilityProc final : public net::Process {
   int uncovered_count_ = 0;
   bool open_ = false;
   int offered_star_ = 0;  // size of the star offered this sub-phase
+  bool star_stale_ = true;  // best_star's cache below needs a rescan
+  double star_ratio_ = 0.0;
+  int star_size_ = 0;
 };
 
 class ClientProc final : public net::Process {
@@ -199,6 +236,8 @@ class ClientProc final : public net::Process {
         default:
           break;
       }
+      // Without a message a client only acts again in the mop-up window.
+      ctx.idle_until(shared_->scheduled_rounds);
       return;
     }
 

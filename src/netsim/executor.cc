@@ -49,21 +49,13 @@ void ParallelExecutor::worker_loop(std::size_t idx) {
 }
 
 void ParallelExecutor::dispatch(std::size_t n, JobFn invoke, void* ctx) {
-  // Partition [0, n) into num_threads contiguous shards; the first (and
-  // any remainder) goes to the calling thread, the rest to the workers.
-  const auto total = static_cast<std::size_t>(num_threads());
-  const std::size_t chunk = n / total;
-  const std::size_t rem = n % total;
-  Shard own;
-  own.begin = 0;
-  own.end = chunk + (rem > 0 ? 1 : 0);
+  // Partition [0, n) into num_threads contiguous shards; the first goes
+  // to the calling thread, the rest to the workers.
+  const Shard own = shard(n, 0);
   {
     std::lock_guard<std::mutex> lk(mu_);
-    std::size_t begin = own.end;
     for (std::size_t w = 0; w < threads_.size(); ++w) {
-      const std::size_t size = chunk + (w + 1 < rem ? 1 : 0);
-      shards_[w] = {begin, begin + size};
-      begin += size;
+      shards_[w] = shard(n, w + 1);
       errors_[w] = nullptr;
     }
     DFLP_CHECK(shards_.empty() || shards_.back().end == n);

@@ -16,6 +16,7 @@
 // execution would have raised first.
 #pragma once
 
+#include <algorithm>
 #include <condition_variable>
 #include <cstddef>
 #include <cstdint>
@@ -63,12 +64,24 @@ class ParallelExecutor {
     return static_cast<int>(threads_.size()) + 1;
   }
 
- private:
   struct Shard {
     std::size_t begin = 0;
     std::size_t end = 0;
   };
 
+  /// Shard `s` (0 <= s < num_threads()) of for_shards(n): shard 0 runs on
+  /// the caller, shard w + 1 on worker w. Every shard holds n / threads
+  /// indices, the first n % threads one more; shards are empty when
+  /// n < threads and for_shards never invokes `fn` on an empty one.
+  [[nodiscard]] Shard shard(std::size_t n, std::size_t s) const noexcept {
+    const auto total = static_cast<std::size_t>(num_threads());
+    const std::size_t chunk = n / total;
+    const std::size_t rem = n % total;
+    const std::size_t begin = s * chunk + std::min(s, rem);
+    return {begin, begin + chunk + (s < rem ? 1 : 0)};
+  }
+
+ private:
   /// Type-erased shard body: `invoke(ctx, begin, end)` calls the borrowed
   /// callable. Both stay valid for the duration of the dispatch only.
   using JobFn = void (*)(void*, std::size_t, std::size_t);

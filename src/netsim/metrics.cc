@@ -19,6 +19,7 @@ void NetMetrics::merge(const NetMetrics& later) noexcept {
   duplicated += later.duplicated;
   crashed += later.crashed;
   bytes_moved += later.bytes_moved;
+  node_steps += later.node_steps;
   max_message_bits = std::max(max_message_bits, later.max_message_bits);
   max_messages_in_round =
       std::max(max_messages_in_round, later.max_messages_in_round);

@@ -60,6 +60,12 @@ struct NetMetrics {
   /// 40-byte record gather per delivery).
   std::uint64_t bytes_moved = 0;
 
+  /// Process invocations actually executed: the live count summed over
+  /// stepped rounds. Rounds skipped by idle fast-forward (netsim/network.h)
+  /// count in `rounds` but add nothing here, so this is the simulator's
+  /// step work, not a complexity measure of the protocol.
+  std::uint64_t node_steps = 0;
+
   /// Folds a later execution's metrics into these: counters add,
   /// high-water marks take the max, the first drop stays the earliest.
   void merge(const NetMetrics& later) noexcept;

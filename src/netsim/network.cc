@@ -410,7 +410,7 @@ NetMetrics Network::run(std::uint64_t max_rounds) {
   // injection): the fault counters must survive into cumulative_ so the
   // failure diagnostic can name the first lost message.
   try {
-  for (std::uint64_t step = 0; step < max_rounds; ++step) {
+  for (std::uint64_t step = 0; step < max_rounds;) {
     // Per-round trace state. The `before` counters turn run_metrics'
     // cumulative fault totals into round-local deltas for the record.
     std::uint64_t crashed_before = 0, dropped_before = 0, dup_before = 0;
@@ -452,6 +452,41 @@ NetMetrics Network::run(std::uint64_t max_rounds) {
     if (live_nodes_.empty() && inflight_messages_ == 0) break;
 
     const std::size_t live_count = live_nodes_.size();
+
+    // Idle fast-forward (see network.h): the last commit left nothing in
+    // flight and every live node promised to idle before idle_until_, so
+    // stepping them would change nothing. Jump, capped by this run's round
+    // budget and by the next scheduled crash, which then fires in its own
+    // round. Each skipped round is counted and traced exactly like a
+    // stepped idle round, with the shards the executor would have run.
+    if (round_ < idle_until_) {
+      const std::uint64_t budget = max_rounds - step;
+      std::uint64_t wake =
+          idle_until_ - round_ > budget ? round_ + budget : idle_until_;
+      const auto& schedule = fault_plan_.crash_schedule();
+      if (crash_cursor_ < schedule.size())
+        wake = std::min(wake, schedule[crash_cursor_].round);
+      if (tracer) {
+        for (std::uint64_t r = round_; r < wake; ++r) {
+          TraceRound record;
+          record.round = r;
+          record.live = live_count;
+          if (r == round_)
+            record.crashed = run_metrics.crashed - crashed_before;
+          for (int s = 0; s < executor_->num_threads(); ++s) {
+            const ParallelExecutor::Shard shard =
+                executor_->shard(live_count, static_cast<std::size_t>(s));
+            if (shard.begin < shard.end)
+              record.shards.push_back({shard.begin, shard.end, 0.0});
+          }
+          tracer->on_round(std::move(record));
+        }
+      }
+      run_metrics.rounds += wake - round_;
+      step += wake - round_;
+      round_ = wake;
+      continue;
+    }
 
     // This round stages into the log set of its parity; the other set
     // still backs the arena being consumed (records must stay addressable
@@ -500,6 +535,8 @@ NetMetrics Network::run(std::uint64_t max_rounds) {
         }
         NodeContext ctx(buffer, id, round_, nbrs, node_rngs_[i]);
         processes_[i]->on_round(ctx, std::span<const Message>(inbox));
+        if (!buffer.halt_requested())
+          log.wake_round = std::min(log.wake_round, buffer.wake_round());
         // Stamp where this node's records landed so a scan-mode gather can
         // find them next round. Each node is stepped by exactly one shard
         // and the array is parity-split, so no reader or writer races this.
@@ -532,6 +569,7 @@ NetMetrics Network::run(std::uint64_t max_rounds) {
     } else {
       executor_->for_shards(live_count, step_range);
     }
+    run_metrics.node_steps += live_count;
 
     // Recover the canonical serial order: shards claimed logs in scheduler
     // order, so sort the claimed set by each log's live-range begin.
@@ -835,6 +873,16 @@ NetMetrics Network::run(std::uint64_t max_rounds) {
     run_metrics.max_messages_in_round =
         std::max(run_metrics.max_messages_in_round, sent_this_round);
 
+    // Idle fast-forward: with nothing in flight, no node needs a step
+    // before the earliest wake round of the nodes still live. (If none is
+    // live, the quiescence check ends the run before this is read.)
+    idle_until_ = 0;
+    if (survivors == 0) {
+      idle_until_ = ~std::uint64_t{0};
+      for (const std::size_t li : log_order_)
+        idle_until_ = std::min(idle_until_, logs[li].wake_round);
+    }
+
     if (tracer) {
       TraceRound record;
       record.round = round_;
@@ -866,6 +914,7 @@ NetMetrics Network::run(std::uint64_t max_rounds) {
 
     run_metrics.rounds += 1;
     round_ += 1;
+    step += 1;
   }
   } catch (...) {
     cumulative_.merge(run_metrics);

@@ -9,7 +9,9 @@
 // `Options::max_msgs_per_edge_per_round` messages (default 1, the classic
 // CONGEST allowance) to each of its neighbours, each within the per-message
 // bit budget. Execution stops when every node has halted and no messages are
-// in flight, or when `max_rounds` elapses.
+// in flight, or when `max_rounds` elapses. (A node that promised to idle is
+// not invoked in rounds where that changes nothing; see "Idle
+// fast-forward" below.)
 //
 // Step/commit architecture
 // ------------------------
@@ -103,6 +105,31 @@
 // `kBySource` delivers each slice as laid out (ascending source — the
 // canonical order), `kReverseSource` is a cheap adversary for
 // order-sensitivity tests.
+//
+// Idle fast-forward
+// -----------------
+// Many protocols wait out long stretches of rounds in which nothing is in
+// flight and every live node does nothing (mw-greedy's threshold ladder).
+// A process may say so: `NodeContext::idle_until(r)` promises that stepping
+// it with an empty inbox in any round before `r` would be a no-op — no
+// send, halt or annotation, no `ctx.rng()` draw, and no state change that
+// is read later. The RoundBuffer records the promise and each StageLog
+// keeps the minimum over its non-halting nodes; a node that makes no
+// promise contributes `round + 1`, so programs that never call it run
+// exactly as before. The engine reads the promises only after a commit
+// with zero survivors (nothing in flight, so no message can break one
+// before the wake round) and then jumps straight to the minimum wake
+// round, capped by the run's `max_rounds` and by the next crash-schedule
+// round (a crash fires in its own round, then the jump resumes). The wake
+// round is engine state, so a run() that ends inside a window resumes it.
+// Skipped rounds are still rounds: `NetMetrics::rounds` counts each one,
+// and a tracer gets one record per skipped round that is identical to the
+// record of a stepped idle round — `live` is the non-halted count, every
+// counter is 0, no phases, and `shards` holds the partition the executor
+// would have stepped, with zero durations. Only `NetMetrics::node_steps`
+// (process invocations actually executed) and wall time tell the two
+// apart. Every decision is a function of round totals and promises, so
+// fast-forward is thread-count invariant like everything else.
 //
 // Resume semantics
 // ----------------
@@ -233,6 +260,11 @@ struct StageLog {
   /// orders claimed logs by it to recover the canonical serial order.
   std::size_t range_begin = 0;
 
+  /// Earliest idle-until promise of the log's non-halting nodes (see the
+  /// header's idle fast-forward); a node without a promise counts as
+  /// round + 1. All ones when every node of the log halted.
+  std::uint64_t wake_round = ~std::uint64_t{0};
+
   /// Clears contents for reuse, retaining capacity. O(touched), not O(N):
   /// only the histogram entries listed in `touched` are rezeroed.
   void reset() noexcept;
@@ -268,6 +300,12 @@ class MessageSink {
   virtual void sink_annotate(NodeId node, std::string_view phase) {
     (void)node;
     (void)phase;
+  }
+  /// Record an idle promise (NodeContext::idle_until). The default drops
+  /// it: only the synchronous engine's RoundBuffer acts on promises.
+  virtual void sink_idle_until(NodeId node, std::uint64_t round) {
+    (void)node;
+    (void)round;
   }
 };
 
@@ -313,6 +351,16 @@ class NodeContext {
   /// the round's trace record. `phase` must outlive the step — use string
   /// literals. Never affects messages, metrics, or randomness.
   void annotate(std::string_view phase) { sink_->sink_annotate(self_, phase); }
+
+  /// Promise that stepping this node with an empty inbox in any round
+  /// before `round` would be a no-op: no send, halt or annotation, no
+  /// rng() draw, no state change that is read later. The engine may then
+  /// skip those rounds while nothing is in flight (see the network
+  /// header's idle fast-forward). Valid for this step only — a process
+  /// that is stepped again must promise again. Never changes results.
+  void idle_until(std::uint64_t round) {
+    sink_->sink_idle_until(self_, round);
+  }
 
   /// Constructs a context over any transport. Library users normally never
   /// build one — Network and the synchronizer do.
@@ -601,6 +649,11 @@ class Network final {
   std::unique_ptr<ParallelExecutor> executor_;
 
   std::uint64_t round_ = 0;
+  // Idle fast-forward: rounds below idle_until_ need no step (set by a
+  // commit with zero survivors from the logs' wake rounds, 0 otherwise).
+  // A member, not a run() local, so a run() that ends inside the window
+  // resumes it.
+  std::uint64_t idle_until_ = 0;
   NetMetrics cumulative_;
 };
 

@@ -207,9 +207,9 @@ void ReliableChannel::execute_logical(NodeContext& ctx, std::uint64_t round) {
   inner_->on_round(inner_ctx, inner_inbox_);
   ++stats_.logical_rounds;
 
-  std::vector<std::size_t> out_before(links_.size());
+  out_before_.resize(links_.size());
   for (std::size_t i = 0; i < links_.size(); ++i)
-    out_before[i] = links_[i].out.size();
+    out_before_[i] = links_[i].out.size();
 
   buffer_.for_each_staged([&](NodeId dst, const WireRecord& rec) {
     const auto it = std::lower_bound(
@@ -232,7 +232,7 @@ void ReliableChannel::execute_logical(NodeContext& ctx, std::uint64_t round) {
   const bool halting = buffer_.halt_requested();
   for (std::size_t i = 0; i < links_.size(); ++i) {
     Link& link = links_[i];
-    if (link.out.size() > out_before[i]) {
+    if (link.out.size() > out_before_[i]) {
       // The round's last item doubles as its end-of-round marker (and as
       // the FIN when the inner halted) — no extra frame needed.
       auto& flags = link.out.back().frame.hdr.flags;

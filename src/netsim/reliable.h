@@ -184,6 +184,7 @@ class ReliableChannel final : public Process {
   int quiet_rounds_ = 0;
   std::vector<Link> links_;              ///< one per neighbour, sorted order
   std::vector<Message> inner_inbox_;     ///< scratch for execute_logical
+  std::vector<std::size_t> out_before_;  ///< scratch: per-link out size
   RoundBuffer buffer_;                   ///< inner step staging
   ReliableStats stats_;
 };

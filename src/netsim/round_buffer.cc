@@ -20,6 +20,7 @@ void StageLog::reset() noexcept {
   max_bits = 0;
   scan_cost = 0;
   range_begin = 0;
+  wake_round = ~std::uint64_t{0};
 }
 
 void RoundBuffer::begin(NodeId node, std::uint64_t round,
@@ -29,6 +30,7 @@ void RoundBuffer::begin(NodeId node, std::uint64_t round,
                         CliqueScratch* clique) {
   owner_ = node;
   round_ = round;
+  wake_round_ = round + 1;
   neighbors_ = neighbors;
   limits_ = limits;
   if (log == nullptr) {
@@ -285,6 +287,14 @@ void RoundBuffer::sink_annotate(NodeId node, std::string_view phase) {
                                          << owner_);
   DFLP_CHECK_MSG(!phase.empty(), "empty phase annotation from node " << node);
   log_->annotations.push_back(phase);
+}
+
+void RoundBuffer::sink_idle_until(NodeId node, std::uint64_t round) {
+  DFLP_CHECK_MSG(node == owner_,
+                 "idle promise from node " << node
+                                           << " staged into the buffer of node "
+                                           << owner_);
+  wake_round_ = std::max(round, round_ + 1);
 }
 
 void RoundBuffer::clear() noexcept {

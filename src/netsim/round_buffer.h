@@ -102,6 +102,9 @@ class RoundBuffer final : public MessageSink {
   /// drops it otherwise. Labels are stored as views — callers pass string
   /// literals (see NodeContext::annotate) that outlive the commit drain.
   void sink_annotate(NodeId node, std::string_view phase) override;
+  /// Records the owner's idle promise for this step (the latest call
+  /// wins). Promises at or below round + 1 promise nothing.
+  void sink_idle_until(NodeId node, std::uint64_t round) override;
 
   /// Records staged by the owner since begin(), in send-call order, with
   /// resolved bit sizes (>= the honest minimum). A broadcast appears as one
@@ -127,6 +130,11 @@ class RoundBuffer final : public MessageSink {
   }
 
   [[nodiscard]] bool halt_requested() const noexcept { return halt_; }
+  /// The first round the owner must be stepped in again if no message
+  /// reaches it: its idle promise, or round + 1 when it made none.
+  [[nodiscard]] std::uint64_t wake_round() const noexcept {
+    return wake_round_;
+  }
   [[nodiscard]] NodeId owner() const noexcept { return owner_; }
 
   /// Whether any message was staged to the neighbour at `neighbor_idx`
@@ -154,6 +162,7 @@ class RoundBuffer final : public MessageSink {
 
   NodeId owner_ = kNoNode;
   std::uint64_t round_ = 0;
+  std::uint64_t wake_round_ = 1;
   std::span<const NodeId> neighbors_;
   Limits limits_;
   StageLog* log_ = &own_log_;

@@ -2,14 +2,21 @@
 // enforcement, determinism, metrics, fault injection.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <limits>
 #include <memory>
 #include <sstream>
 #include <vector>
 
 #include "common/check.h"
+#include "core/frac_lp.h"
+#include "core/mw_greedy.h"
+#include "core/params.h"
 #include "netsim/message.h"
 #include "netsim/network.h"
+#include "netsim/trace.h"
+#include "service/streaming_solver.h"
+#include "workload/stream.h"
 
 namespace dflp::net {
 namespace {
@@ -499,6 +506,268 @@ TEST(Network, MostlyHaltedNetworkCommitsInLivePlusMessageWork) {
   // Quiescence is observable without re-running: a further run() exits at
   // the first round boundary.
   EXPECT_EQ(net.run(10).rounds, 0u);
+}
+
+// --- Idle fast-forward (network.h) ----------------------------------------
+
+/// Toy protocol for the idle fast-forward tests. Node v acts in every
+/// positive multiple of its period: it draws two coins (pinning the rng
+/// streams) and sends the payload one coin picks to the neighbour the
+/// other picks. Every node logs what it receives and halts at its halt
+/// round. With `promise` a node calls idle_until with its next action
+/// round, which is exactly when an empty-inbox step stops being a no-op;
+/// the twin without it is stepped in every round. Logs are per node, so
+/// multi-threaded steps never share one.
+class Sleeper final : public Process {
+ public:
+  Sleeper(std::uint64_t period, std::uint64_t halt_round, bool promise)
+      : period_(period), halt_round_(halt_round), promise_(promise) {}
+
+  [[nodiscard]] std::string log() const { return log_.str(); }
+
+  void on_round(NodeContext& ctx, std::span<const Message> inbox) override {
+    const std::uint64_t r = ctx.round();
+    for (const Message& m : inbox)
+      log_ << ctx.self() << '@' << r << '<' << m.src << ':' << m.field[0]
+           << ' ';
+    if (r >= halt_round_) {
+      ctx.halt();
+      return;
+    }
+    if (r > 0 && r % period_ == 0) {
+      ctx.annotate("send");
+      const std::span<const NodeId> nbrs = ctx.neighbors();
+      const NodeId to = nbrs[ctx.rng().uniform_u64(nbrs.size())];
+      ctx.send(to, 1,
+               {static_cast<std::int64_t>(ctx.rng().uniform_u64(100)), 0, 0});
+    }
+    if (promise_)
+      ctx.idle_until(std::min(halt_round_, (r / period_ + 1) * period_));
+  }
+
+ private:
+  std::uint64_t period_;
+  std::uint64_t halt_round_;
+  bool promise_;
+  std::ostringstream log_;
+};
+
+struct ToyRun {
+  std::string log;
+  NetMetrics metrics;
+};
+
+struct ToyConfig {
+  bool promise = true;
+  int threads = 1;
+  std::vector<std::uint64_t> chunks = {1000};  ///< run() calls in order
+  std::vector<CrashEvent> crashes;
+  Tracer* tracer = nullptr;
+};
+
+/// An 8-node ring of Sleepers with periods 7, 10, ..., 28; node 5 halts
+/// at round 30, the rest at 60. Rounds 1-6 and every later round that is
+/// neither an action round nor a delivery round are idle.
+ToyRun run_toy(const ToyConfig& config) {
+  Network::Options o = opts();
+  o.num_threads = config.threads;
+  o.faults.crashes = config.crashes;
+  o.tracer = config.tracer;
+  constexpr NodeId kN = 8;
+  Network net(kN, o);
+  for (NodeId v = 0; v < kN; ++v) net.add_edge(v, (v + 1) % kN);
+  net.finalize();
+  std::vector<const Sleeper*> nodes;
+  for (NodeId v = 0; v < kN; ++v) {
+    auto node = std::make_unique<Sleeper>(static_cast<std::uint64_t>(7 + 3 * v),
+                                          v == 5 ? 30 : 60, config.promise);
+    nodes.push_back(node.get());
+    net.set_process(v, std::move(node));
+  }
+  ToyRun out;
+  for (const std::uint64_t c : config.chunks) out.metrics.merge(net.run(c));
+  for (const Sleeper* node : nodes) out.log += node->log() + '|';
+  return out;
+}
+
+/// Every NetMetrics field the protocol can observe (all but node_steps).
+std::string observable(const NetMetrics& m) {
+  std::ostringstream os;
+  os << m.rounds << '/' << m.messages << '/' << m.total_bits << '/'
+     << m.max_message_bits << '/' << m.max_messages_in_round << '/'
+     << m.dropped << '/' << m.crashed << '/' << m.arena_peak_messages << '/'
+     << m.bytes_moved;
+  return os.str();
+}
+
+/// The tracer's records as JSONL with the wall timings zeroed; every
+/// counter, phase and shard range is kept.
+std::string untimed_jsonl(const Tracer& tracer) {
+  ParsedTrace trace;
+  trace.version = kTraceSchemaVersion;
+  trace.sections = tracer.sections();
+  trace.rounds = tracer.rounds();
+  for (TraceRound& r : trace.rounds) {
+    r.step_s = r.commit_s = r.scatter_s = 0.0;
+    for (TraceShard& shard : r.shards) shard.dur_s = 0.0;
+  }
+  std::ostringstream os;
+  write_trace_jsonl(trace, os);
+  return os.str();
+}
+
+/// The tracer's JSONL through the `trace_check --normalize` path.
+std::string normalized_jsonl(const Tracer& tracer) {
+  std::ostringstream raw;
+  tracer.write_jsonl(raw);
+  std::istringstream in(raw.str());
+  ParsedTrace trace = read_trace_jsonl(in);
+  normalize_trace(&trace);
+  std::ostringstream os;
+  write_trace_jsonl(trace, os);
+  return os.str();
+}
+
+std::uint64_t summed_live(const Tracer& tracer) {
+  std::uint64_t live = 0;
+  for (const TraceRound& r : tracer.rounds()) live += r.live;
+  return live;
+}
+
+TEST(Network, IdleFastForwardKeepsRoundsAndCutsSteps) {
+  const ToyRun fast = run_toy(ToyConfig{});
+  ToyConfig twin_config;
+  twin_config.promise = false;
+  const ToyRun twin = run_toy(twin_config);
+  EXPECT_EQ(fast.log, twin.log);
+  EXPECT_FALSE(fast.log.empty());
+  EXPECT_EQ(observable(fast.metrics), observable(twin.metrics));
+  EXPECT_EQ(fast.metrics.rounds, 61u);  // rounds 0..60, the last halts all
+  EXPECT_LT(fast.metrics.node_steps, twin.metrics.node_steps);
+  // Round 0 steps all 8 nodes, and every node is stepped in round 60.
+  EXPECT_GE(fast.metrics.node_steps, 16u);
+}
+
+TEST(Network, IdleFastForwardTracesMatchSteppedIdleRounds) {
+  for (const int threads : {1, 4}) {
+    Tracer fast_trace(/*capture_phases=*/true);
+    Tracer twin_trace(/*capture_phases=*/true);
+    ToyConfig config;
+    config.threads = threads;
+    config.tracer = &fast_trace;
+    const ToyRun fast = run_toy(config);
+    config.promise = false;
+    config.tracer = &twin_trace;
+    const ToyRun twin = run_toy(config);
+    ASSERT_EQ(fast_trace.rounds().size(), fast.metrics.rounds);
+    EXPECT_EQ(untimed_jsonl(fast_trace), untimed_jsonl(twin_trace))
+        << "threads=" << threads;
+    EXPECT_EQ(normalized_jsonl(fast_trace), normalized_jsonl(twin_trace));
+    // The twin steps every traced node; the fast run skips idle ones.
+    EXPECT_EQ(twin.metrics.node_steps, summed_live(twin_trace));
+    EXPECT_LT(fast.metrics.node_steps, summed_live(fast_trace));
+  }
+}
+
+TEST(Network, IdleFastForwardResumesAcrossRunCalls) {
+  Tracer whole_trace;
+  ToyConfig config;
+  config.tracer = &whole_trace;
+  const ToyRun whole = run_toy(config);
+  // 7 ends exactly at the first wake round; 2, 1+1+1 and 12 end inside
+  // idle windows, 12+11 straddles two.
+  for (const std::vector<std::uint64_t>& chunks :
+       std::vector<std::vector<std::uint64_t>>{
+           {7, 1000}, {2, 1000}, {1, 1, 1, 1000}, {12, 11, 1000}}) {
+    Tracer split_trace;
+    config.chunks = chunks;
+    config.tracer = &split_trace;
+    const ToyRun split = run_toy(config);
+    EXPECT_EQ(split.log, whole.log);
+    EXPECT_EQ(observable(split.metrics), observable(whole.metrics));
+    EXPECT_EQ(split.metrics.node_steps, whole.metrics.node_steps);
+    EXPECT_EQ(untimed_jsonl(split_trace), untimed_jsonl(whole_trace));
+  }
+}
+
+TEST(Network, IdleFastForwardFiresCrashInsideSkippedWindow) {
+  // Nobody acts before round 7, so rounds 1-6 are one idle window; the
+  // crash of node 2 at round 3 must still land in round 3.
+  Tracer fast_trace;
+  Tracer twin_trace;
+  ToyConfig config;
+  config.crashes = {{2, 3}};
+  config.tracer = &fast_trace;
+  const ToyRun fast = run_toy(config);
+  config.promise = false;
+  config.tracer = &twin_trace;
+  const ToyRun twin = run_toy(config);
+  EXPECT_EQ(fast.metrics.crashed, 1u);
+  EXPECT_EQ(fast.log, twin.log);
+  EXPECT_EQ(observable(fast.metrics), observable(twin.metrics));
+  EXPECT_EQ(untimed_jsonl(fast_trace), untimed_jsonl(twin_trace));
+  EXPECT_LT(fast.metrics.node_steps, twin.metrics.node_steps);
+  const std::vector<TraceRound>& rounds = fast_trace.rounds();
+  ASSERT_GT(rounds.size(), 4u);
+  EXPECT_EQ(rounds[2].live, 8u);
+  EXPECT_EQ(rounds[2].crashed, 0u);
+  EXPECT_EQ(rounds[3].live, 7u);
+  EXPECT_EQ(rounds[3].crashed, 1u);
+  EXPECT_EQ(rounds[4].crashed, 0u);
+}
+
+TEST(Network, IdleFastForwardIsThreadCountInvariant) {
+  ToyConfig config;
+  const ToyRun one = run_toy(config);
+  config.threads = 4;
+  const ToyRun four = run_toy(config);
+  EXPECT_EQ(four.log, one.log);
+  EXPECT_EQ(observable(four.metrics), observable(one.metrics));
+  EXPECT_EQ(four.metrics.node_steps, one.metrics.node_steps);
+}
+
+// mw-greedy's wake rule on the component networks of the streaming
+// benchmark: one 4-facility cell with 11 clients under the schedule the
+// service pins for a 2000-cell stream of 200 000 events. The long rung
+// ladder leaves most rounds with nothing in flight.
+TEST(Network, IdleFastForwardCutsMwGreedyStepsOnAStreamCell) {
+  workload::StreamParams cell;
+  cell.num_cells = 1;
+  cell.initial_clients = 11;
+  const fl::Instance inst =
+      workload::ClientStream(cell, 1).initial_snapshot().instance();
+  ASSERT_EQ(inst.num_facilities(), 4);
+  ASSERT_EQ(inst.num_clients(), 11);
+  workload::StreamParams service = cell;
+  service.num_cells = 2000;
+  service.initial_clients = 20000;
+  core::MwParams params;
+  params.k = 4;
+  const core::MwSchedule schedule = core::derive_schedule_from_bounds(
+      service::stream_bounds(service, 200000), params);
+  params.pinned_schedule = &schedule;
+
+  Tracer greedy_trace;
+  params.tracer = &greedy_trace;
+  const core::MwGreedyOutcome greedy = core::run_mw_greedy(inst, params);
+  EXPECT_EQ(greedy.metrics.rounds, greedy_trace.rounds().size());
+  EXPECT_GT(greedy.metrics.node_steps, 0u);
+  EXPECT_LE(4 * greedy.metrics.node_steps, summed_live(greedy_trace));
+
+  // Programs that make no promise are stepped in every traced round: the
+  // frac-LP stage, and mw-greedy under the reliable channel, whose inner
+  // promises stay in the channel's private buffer.
+  Tracer frac_trace;
+  params.tracer = &frac_trace;
+  const core::FracOutcome frac = core::run_frac_lp(inst, params);
+  EXPECT_EQ(frac.metrics.node_steps, summed_live(frac_trace));
+
+  Tracer reliable_trace;
+  params.tracer = &reliable_trace;
+  params.reliable = true;
+  const core::MwGreedyOutcome reliable = core::run_mw_greedy(inst, params);
+  EXPECT_EQ(reliable.metrics.node_steps, summed_live(reliable_trace));
+  EXPECT_EQ(reliable.solution.cost(inst), greedy.solution.cost(inst));
 }
 
 TEST(Network, MetricsToStringMentionsCounts) {
