@@ -15,6 +15,10 @@
 //     full mode) at several epoch sizes; sustained updates/sec counts
 //     everything: delta generation, ingest, snapshot apply, re-solve.
 //
+// Every cell also reports the median per-epoch `apply_ms` (snapshot
+// rebuild) and `solve_ms` (partition + component solves + assembly), so a
+// wall-clock change can be pinned on the layer that moved.
+//
 // Results go to stdout as Markdown and to a machine-readable
 // `BENCH_stream.json` (override with `--out`) so CI can track the perf
 // trajectory per commit; `--smoke` shrinks the workload for CI.
@@ -47,6 +51,12 @@ struct WarmColdResult {
   int epochs = 0;
   double warm_median_ms = 0.0;
   double cold_median_ms = 0.0;
+  /// Per-layer medians of the same epochs: snapshot apply, then partition +
+  /// solves + assembly (EpochReport::apply_ms / solve_ms).
+  double warm_apply_ms = 0.0;
+  double warm_solve_ms = 0.0;
+  double cold_apply_ms = 0.0;
+  double cold_solve_ms = 0.0;
   double speedup = 0.0;
   bool cost_identical = true;
 };
@@ -57,6 +67,8 @@ struct ThroughputResult {
   int epochs = 0;
   double wall_s = 0.0;
   double updates_per_s = 0.0;
+  double apply_ms = 0.0;  ///< median over the epochs
+  double solve_ms = 0.0;  ///< median over the epochs
   std::int64_t solved_components = 0;
   std::int64_t reused_components = 0;
 };
@@ -107,6 +119,10 @@ WarmColdResult run_warm_vs_cold(std::int32_t cells,
 
   std::vector<double> warm_ms;
   std::vector<double> cold_ms;
+  std::vector<double> warm_apply;
+  std::vector<double> warm_solve;
+  std::vector<double> cold_apply;
+  std::vector<double> cold_solve;
   for (int e = 0; e < epochs; ++e) {
     fl::DeltaLog batch;
     warm_stream.fill_epoch(epoch_size, batch);
@@ -118,10 +134,18 @@ WarmColdResult run_warm_vs_cold(std::int32_t cells,
     const service::EpochReport cr = cold.commit_epoch();
     warm_ms.push_back(wr.total_ms);
     cold_ms.push_back(cr.total_ms);
+    warm_apply.push_back(wr.apply_ms);
+    warm_solve.push_back(wr.solve_ms);
+    cold_apply.push_back(cr.apply_ms);
+    cold_solve.push_back(cr.solve_ms);
     if (wr.cost != cr.cost) r.cost_identical = false;
   }
   r.warm_median_ms = median(warm_ms);
   r.cold_median_ms = median(cold_ms);
+  r.warm_apply_ms = median(warm_apply);
+  r.warm_solve_ms = median(warm_solve);
+  r.cold_apply_ms = median(cold_apply);
+  r.cold_solve_ms = median(cold_solve);
   if (r.warm_median_ms > 0.0)
     r.speedup = r.cold_median_ms / r.warm_median_ms;
   return r;
@@ -141,6 +165,8 @@ ThroughputResult run_throughput(std::int32_t cells,
   r.events = total_events;
   r.epoch_size = epoch_size;
 
+  std::vector<double> apply_ms;
+  std::vector<double> solve_ms;
   const auto t0 = std::chrono::steady_clock::now();
   for (std::int64_t remaining = total_events; remaining > 0;) {
     const auto batch_size =
@@ -151,6 +177,8 @@ ThroughputResult run_throughput(std::int32_t cells,
     const service::EpochReport rep = solver.commit_epoch();
     r.solved_components += rep.solved_components;
     r.reused_components += rep.reused_components;
+    apply_ms.push_back(rep.apply_ms);
+    solve_ms.push_back(rep.solve_ms);
     ++r.epochs;
     remaining -= batch_size;
   }
@@ -158,6 +186,8 @@ ThroughputResult run_throughput(std::int32_t cells,
   r.wall_s = std::chrono::duration<double>(t1 - t0).count();
   if (r.wall_s > 0.0)
     r.updates_per_s = static_cast<double>(total_events) / r.wall_s;
+  r.apply_ms = median(apply_ms);
+  r.solve_ms = median(solve_ms);
   return r;
 }
 
@@ -171,6 +201,10 @@ void write_json(const std::string& path, const std::string& mode,
       << ", \"cells\": " << wc.cells << ", \"epoch_size\": " << wc.epoch_size
       << ", \"epochs\": " << wc.epochs << ", \"warm_median_ms\": "
       << wc.warm_median_ms << ", \"cold_median_ms\": " << wc.cold_median_ms
+      << ", \"warm_apply_ms\": " << wc.warm_apply_ms
+      << ", \"warm_solve_ms\": " << wc.warm_solve_ms
+      << ", \"cold_apply_ms\": " << wc.cold_apply_ms
+      << ", \"cold_solve_ms\": " << wc.cold_solve_ms
       << ", \"speedup\": " << wc.speedup << ", \"cost_identical\": "
       << (wc.cost_identical ? "true" : "false") << "},\n"
       << "  \"throughput\": [\n";
@@ -180,7 +214,9 @@ void write_json(const std::string& path, const std::string& mode,
         << t.epoch_size << ", \"epochs\": " << t.epochs << ", \"wall_s\": "
         << t.wall_s << ", \"updates_per_s\": " << t.updates_per_s
         << ", \"solved_components\": " << t.solved_components
-        << ", \"reused_components\": " << t.reused_components << "}"
+        << ", \"reused_components\": " << t.reused_components
+        << ", \"apply_ms\": " << t.apply_ms << ", \"solve_ms\": "
+        << t.solve_ms << "}"
         << (i + 1 < tps.size() ? "," : "") << "\n";
   }
   out << "  ]\n}\n";
@@ -213,11 +249,14 @@ int main_impl(int argc, char** argv) {
   const WarmColdResult wc =
       run_warm_vs_cold(cells, initial, epoch_size, epochs);
   std::cout << "| n clients | cells | epoch | epochs | warm med ms | "
-               "cold med ms | speedup | cost identical |\n"
-            << "|---|---|---|---|---|---|---|---|\n"
+               "cold med ms | warm apply / solve ms | cold apply / solve ms "
+               "| speedup | cost identical |\n"
+            << "|---|---|---|---|---|---|---|---|---|---|\n"
             << "| " << wc.n_clients << " | " << wc.cells << " | "
             << wc.epoch_size << " | " << wc.epochs << " | "
             << wc.warm_median_ms << " | " << wc.cold_median_ms << " | "
+            << wc.warm_apply_ms << " / " << wc.warm_solve_ms << " | "
+            << wc.cold_apply_ms << " / " << wc.cold_solve_ms << " | "
             << wc.speedup << " | " << (wc.cost_identical ? "yes" : "NO")
             << " |\n";
   std::cout.flush();
@@ -233,15 +272,17 @@ int main_impl(int argc, char** argv) {
       smoke ? std::vector<std::int64_t>{2000}
             : std::vector<std::int64_t>{10000, 100000};
   std::cout << "\n## sustained update throughput (warm-started)\n\n"
-            << "| events | epoch | epochs | wall s | updates/s | solved | "
-               "reused |\n|---|---|---|---|---|---|---|\n";
+            << "| events | epoch | epochs | wall s | updates/s | med apply ms "
+               "| med solve ms | solved | reused |\n"
+               "|---|---|---|---|---|---|---|---|---|\n";
   std::vector<ThroughputResult> tps;
   for (const std::int64_t es : epoch_sizes) {
     const ThroughputResult t = run_throughput(cells, initial, total, es);
     tps.push_back(t);
     std::cout << "| " << t.events << " | " << t.epoch_size << " | "
               << t.epochs << " | " << t.wall_s << " | " << t.updates_per_s
-              << " | " << t.solved_components << " | "
+              << " | " << t.apply_ms << " | " << t.solve_ms << " | "
+              << t.solved_components << " | "
               << t.reused_components << " |\n";
     std::cout.flush();
   }

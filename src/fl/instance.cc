@@ -54,19 +54,6 @@ Instance InstanceBuilder::build() {
   DFLP_CHECK_MSG(!opening_.empty(), "instance has no facilities");
   DFLP_CHECK_MSG(num_clients_ > 0, "instance has no clients");
 
-  // Reject duplicate (i, j) pairs.
-  {
-    std::vector<std::pair<FacilityId, ClientId>> keys;
-    keys.reserve(edges_.size());
-    for (const auto& e : edges_) keys.emplace_back(e.i, e.j);
-    std::sort(keys.begin(), keys.end());
-    const auto dup = std::adjacent_find(keys.begin(), keys.end());
-    DFLP_CHECK_MSG(dup == keys.end(),
-                   "duplicate edge (facility=" << dup->first
-                                               << ", client=" << dup->second
-                                               << ")");
-  }
-
   Instance inst;
   inst.opening_ = std::move(opening_);
   inst.num_clients_ = num_clients_;
@@ -74,7 +61,11 @@ Instance InstanceBuilder::build() {
   const auto m = static_cast<std::size_t>(inst.opening_.size());
   const auto n = static_cast<std::size_t>(num_clients_);
 
-  // Facility-side CSR, sorted by (cost, client id).
+  // Facility-side CSR, sorted by (cost, client id). Duplicate (i, j) pairs
+  // are caught row by row with one stamp per client (stamp[j] == i: j
+  // already seen in row i), so the check is O(E) with no global sort. Rows
+  // are visited in ascending i and the whole offending row is scanned, so
+  // the error names the lexicographically smallest duplicated pair.
   {
     std::vector<std::int32_t> deg(m, 0);
     for (const auto& e : edges_) ++deg[static_cast<std::size_t>(e.i)];
@@ -87,9 +78,19 @@ Instance InstanceBuilder::build() {
     for (const auto& e : edges_)
       inst.facility_edges_[static_cast<std::size_t>(
           cur[static_cast<std::size_t>(e.i)]++)] = {e.j, e.c};
+    std::vector<FacilityId> stamp(n, kNoFacility);
     for (std::size_t i = 0; i < m; ++i) {
       auto begin = inst.facility_edges_.begin() + inst.facility_offset_[i];
       auto end = inst.facility_edges_.begin() + inst.facility_offset_[i + 1];
+      const auto row = static_cast<FacilityId>(i);
+      ClientId dup = -1;
+      for (auto it = begin; it != end; ++it) {
+        FacilityId& seen = stamp[static_cast<std::size_t>(it->client)];
+        if (seen == row && (dup == -1 || it->client < dup)) dup = it->client;
+        seen = row;
+      }
+      DFLP_CHECK_MSG(dup == -1, "duplicate edge (facility="
+                                    << row << ", client=" << dup << ")");
       std::sort(begin, end, [](const FacilityEdge& a, const FacilityEdge& b) {
         if (a.cost != b.cost) return a.cost < b.cost;
         return a.client < b.client;

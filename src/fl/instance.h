@@ -76,7 +76,10 @@ class InstanceBuilder {
 
   /// Validates (every client reachable, costs finite and non-negative, no
   /// duplicate edges) and produces the immutable instance. The builder is
-  /// left empty afterwards.
+  /// left empty afterwards. Everything but the per-row and per-client cost
+  /// sorts is O(m + n + E): duplicates are found while scattering the
+  /// facility rows, and the error names the lexicographically smallest
+  /// duplicated (facility, client) pair.
   [[nodiscard]] Instance build();
 
  private:

@@ -108,27 +108,27 @@ StreamingSolver::StreamingSolver(fl::InstanceSnapshot initial,
 
 EpochReport StreamingSolver::commit_epoch() {
   const auto start = Clock::now();
-  std::unordered_set<fl::NodeKey> touched_f;
-  std::unordered_set<fl::NodeKey> touched_c;
+  std::vector<fl::NodeKey> touched_f;
+  std::vector<fl::NodeKey> touched_c;
   for (const fl::Delta& d : pending_.deltas()) {
     switch (d.kind) {
       case fl::Delta::Kind::kClientArrive:
-        touched_c.insert(d.client);
-        for (const fl::KeyedEdge& e : d.edges) touched_f.insert(e.peer);
+        touched_c.push_back(d.client);
+        for (const fl::KeyedEdge& e : d.edges) touched_f.push_back(e.peer);
         break;
       case fl::Delta::Kind::kClientDepart:
-        touched_c.insert(d.client);
+        touched_c.push_back(d.client);
         break;
       case fl::Delta::Kind::kFacilityOpen:
-        touched_f.insert(d.facility);
-        for (const fl::KeyedEdge& e : d.edges) touched_c.insert(e.peer);
+        touched_f.push_back(d.facility);
+        for (const fl::KeyedEdge& e : d.edges) touched_c.push_back(e.peer);
         break;
       case fl::Delta::Kind::kFacilityClose:
-        touched_f.insert(d.facility);
+        touched_f.push_back(d.facility);
         break;
       case fl::Delta::Kind::kEdgeCostChange:
-        touched_f.insert(d.facility);
-        touched_c.insert(d.client);
+        touched_f.push_back(d.facility);
+        touched_c.push_back(d.client);
         break;
     }
   }
@@ -146,7 +146,9 @@ EpochReport StreamingSolver::commit_epoch() {
 StreamingSolver::ComponentEntry StreamingSolver::solve_component(
     const Component& comp, std::uint64_t fingerprint) const {
   ComponentEntry entry;
+  entry.key = comp.key;
   entry.fingerprint = fingerprint;
+  entry.open.assign(comp.facilities.size(), 0);
   if (comp.clients.empty()) return entry;  // facility-only: stays closed
 
   const fl::Instance& inst = snapshot_.instance();
@@ -156,19 +158,18 @@ StreamingSolver::ComponentEntry StreamingSolver::solve_component(
     edges += inst.facility_edges(i).size();
   builder.reserve(static_cast<std::int32_t>(comp.facilities.size()),
                   static_cast<std::int32_t>(comp.clients.size()), edges);
-  std::unordered_map<fl::ClientId, std::int32_t> local_client;
-  local_client.reserve(comp.clients.size());
-  for (std::size_t t = 0; t < comp.clients.size(); ++t)
-    local_client.emplace(comp.clients[t], static_cast<std::int32_t>(t));
   for (fl::FacilityId i : comp.facilities)
     (void)builder.add_facility(inst.opening_cost(i));
-  for (std::size_t t = 0; t < comp.clients.size(); ++t)
-    (void)builder.add_client();
+  (void)builder.add_clients(static_cast<std::int32_t>(comp.clients.size()));
   for (std::size_t fi = 0; fi < comp.facilities.size(); ++fi) {
     for (const fl::FacilityEdge& e :
          inst.facility_edges(comp.facilities[fi])) {
+      // comp.clients is ascending, so a client's local id is its rank.
+      const auto local = std::lower_bound(comp.clients.begin(),
+                                          comp.clients.end(), e.client) -
+                         comp.clients.begin();
       builder.connect(static_cast<std::int32_t>(fi),
-                      local_client.at(e.client), e.cost);
+                      static_cast<std::int32_t>(local), e.cost);
     }
   }
   const fl::Instance sub = builder.build();
@@ -203,29 +204,23 @@ StreamingSolver::ComponentEntry StreamingSolver::solve_component(
     }
   }
 
-  for (std::size_t fi = 0; fi < comp.facilities.size(); ++fi) {
-    if (sub_solution.is_open(static_cast<std::int32_t>(fi)))
-      entry.open_facilities.push_back(
-          snapshot_.facility_key(comp.facilities[fi]));
-  }
+  for (std::size_t fi = 0; fi < comp.facilities.size(); ++fi)
+    entry.open[fi] = sub_solution.is_open(static_cast<std::int32_t>(fi));
   entry.assignment.reserve(comp.clients.size());
   for (std::size_t t = 0; t < comp.clients.size(); ++t) {
     const fl::FacilityId local =
         sub_solution.assignment(static_cast<std::int32_t>(t));
     DFLP_CHECK_MSG(local != fl::kNoFacility,
                    "component solve left a client unassigned");
-    entry.assignment.emplace_back(
-        snapshot_.client_key(comp.clients[t]),
-        snapshot_.facility_key(
-            comp.facilities[static_cast<std::size_t>(local)]));
+    entry.assignment.push_back(local);
   }
   return entry;
 }
 
 EpochReport StreamingSolver::resolve(
     std::size_t events, double apply_ms,
-    const std::unordered_set<fl::NodeKey>& touched_f,
-    const std::unordered_set<fl::NodeKey>& touched_c) {
+    const std::vector<fl::NodeKey>& touched_f,
+    const std::vector<fl::NodeKey>& touched_c) {
   const auto start = Clock::now();
   const fl::Instance& inst = snapshot_.instance();
   const auto m = inst.num_facilities();
@@ -238,6 +233,18 @@ EpochReport StreamingSolver::resolve(
                   "pinned from ("
                << inst.describe() << ")");
 
+  // ---- Touched keys -> dirty flags over dense ids. ---------------------
+  std::vector<std::uint8_t> dirty_f(static_cast<std::size_t>(m), 0);
+  std::vector<std::uint8_t> dirty_c(static_cast<std::size_t>(n), 0);
+  for (fl::NodeKey key : touched_f) {
+    const fl::FacilityId i = snapshot_.facility_index(key);
+    if (i != -1) dirty_f[static_cast<std::size_t>(i)] = 1;
+  }
+  for (fl::NodeKey key : touched_c) {
+    const fl::ClientId j = snapshot_.client_index(key);
+    if (j != -1) dirty_c[static_cast<std::size_t>(j)] = 1;
+  }
+
   // ---- Partition into connectivity components. -------------------------
   Dsu dsu(static_cast<std::size_t>(m + n));
   for (fl::FacilityId i = 0; i < m; ++i) {
@@ -245,26 +252,27 @@ EpochReport StreamingSolver::resolve(
       dsu.merge(i, m + e.client);
   }
   std::vector<Component> comps;
-  std::unordered_map<std::int32_t, std::size_t> comp_of_root;
-  comp_of_root.reserve(static_cast<std::size_t>(m));
+  std::vector<std::int32_t> comp_of_root(static_cast<std::size_t>(m + n),
+                                         -1);
   // Facilities in dense (= ascending-key) order: the first facility seen
   // for a root is the component's minimum key, and `comps` ends up sorted
-  // by key — which keeps every downstream accumulation order-deterministic.
+  // by key — which keeps every downstream accumulation order-deterministic
+  // and lets the key-ordered cache be merged against it.
   for (fl::FacilityId i = 0; i < m; ++i) {
-    const std::int32_t root = dsu.find(i);
-    auto [it, fresh] = comp_of_root.emplace(root, comps.size());
-    if (fresh) {
+    std::int32_t& c = comp_of_root[static_cast<std::size_t>(dsu.find(i))];
+    if (c == -1) {
+      c = static_cast<std::int32_t>(comps.size());
       comps.emplace_back();
       comps.back().key = snapshot_.facility_key(i);
     }
-    comps[it->second].facilities.push_back(i);
+    comps[static_cast<std::size_t>(c)].facilities.push_back(i);
   }
   for (fl::ClientId j = 0; j < n; ++j) {
-    const std::int32_t root = dsu.find(m + j);
-    const auto it = comp_of_root.find(root);
-    DFLP_CHECK_MSG(it != comp_of_root.end(),
+    const std::int32_t c =
+        comp_of_root[static_cast<std::size_t>(dsu.find(m + j))];
+    DFLP_CHECK_MSG(c != -1,
                    "client " << j << " has no facility in its component");
-    comps[it->second].clients.push_back(j);
+    comps[static_cast<std::size_t>(c)].clients.push_back(j);
   }
 
   EpochReport report;
@@ -276,8 +284,9 @@ EpochReport StreamingSolver::resolve(
   report.components = static_cast<std::int64_t>(comps.size());
 
   // ---- Solve dirty components, reuse clean ones. -----------------------
-  std::unordered_map<fl::NodeKey, ComponentEntry> next_cache;
+  std::vector<ComponentEntry> next_cache;
   next_cache.reserve(comps.size());
+  std::size_t cached = 0;  // merge cursor into the key-ordered cache_
   fl::IntegralSolution solution(inst);
   for (const Component& comp : comps) {
     std::uint64_t fp = 0xD17F;
@@ -287,31 +296,28 @@ EpochReport StreamingSolver::resolve(
     for (fl::ClientId j : comp.clients)
       fp = chain(fp, static_cast<std::uint64_t>(snapshot_.client_key(j)));
 
-    bool reusable = options_.warm_start;
-    if (reusable) {
-      const auto it = cache_.find(comp.key);
-      reusable = it != cache_.end() && it->second.fingerprint == fp;
-    }
-    if (reusable) {
-      for (fl::FacilityId i : comp.facilities) {
-        if (touched_f.count(snapshot_.facility_key(i)) != 0) {
-          reusable = false;
-          break;
-        }
-      }
-    }
-    if (reusable) {
-      for (fl::ClientId j : comp.clients) {
-        if (touched_c.count(snapshot_.client_key(j)) != 0) {
-          reusable = false;
-          break;
-        }
-      }
-    }
+    while (cached < cache_.size() && cache_[cached].key < comp.key) ++cached;
+    bool reusable = options_.warm_start && cached < cache_.size() &&
+                    cache_[cached].key == comp.key &&
+                    cache_[cached].fingerprint == fp;
+    for (std::size_t t = 0; reusable && t < comp.facilities.size(); ++t)
+      reusable = dirty_f[static_cast<std::size_t>(comp.facilities[t])] == 0;
+    for (std::size_t t = 0; reusable && t < comp.clients.size(); ++t)
+      reusable = dirty_c[static_cast<std::size_t>(comp.clients[t])] == 0;
 
     ComponentEntry entry;
     if (reusable) {
-      entry = std::move(cache_.at(comp.key));
+      entry = std::move(cache_[cached]);
+      // Positions are only meaningful against the member lists they were
+      // solved on; the fingerprint vouches for that, this guards it.
+      DFLP_CHECK_MSG(entry.open.size() == comp.facilities.size() &&
+                         entry.assignment.size() == comp.clients.size(),
+                     "cached solution of component "
+                         << comp.key << " holds " << entry.open.size()
+                         << " facility / " << entry.assignment.size()
+                         << " client positions, the component has "
+                         << comp.facilities.size() << " / "
+                         << comp.clients.size());
       ++report.reused_components;
     } else {
       entry = solve_component(comp, fp);
@@ -321,18 +327,15 @@ EpochReport StreamingSolver::resolve(
     }
     report.fractional_value += entry.fractional_value;
 
-    for (fl::NodeKey fkey : entry.open_facilities) {
-      const fl::FacilityId i = snapshot_.facility_index(fkey);
-      DFLP_CHECK(i != -1);
-      solution.open(i);
+    for (std::size_t fi = 0; fi < comp.facilities.size(); ++fi) {
+      if (entry.open[fi] != 0) solution.open(comp.facilities[fi]);
     }
-    for (const auto& [ckey, fkey] : entry.assignment) {
-      const fl::ClientId j = snapshot_.client_index(ckey);
-      const fl::FacilityId i = snapshot_.facility_index(fkey);
-      DFLP_CHECK(j != -1 && i != -1);
-      solution.assign(j, i);
+    for (std::size_t t = 0; t < comp.clients.size(); ++t) {
+      solution.assign(comp.clients[t],
+                      comp.facilities[static_cast<std::size_t>(
+                          entry.assignment[t])]);
     }
-    next_cache.emplace(comp.key, std::move(entry));
+    next_cache.push_back(std::move(entry));
   }
   cache_ = std::move(next_cache);
 
@@ -343,43 +346,55 @@ EpochReport StreamingSolver::resolve(
   report.cost = solution.cost(inst);
 
   // ---- Recourse vs the previous epoch, in key space. -------------------
+  // Every list below is in ascending key order (dense order is key
+  // order), so each count is one linear merge.
   std::vector<fl::NodeKey> open_keys;
   for (fl::FacilityId i = 0; i < m; ++i) {
     if (solution.is_open(i)) open_keys.push_back(snapshot_.facility_key(i));
   }
-  {
-    std::vector<fl::NodeKey> diff;
-    std::set_difference(open_keys.begin(), open_keys.end(),
-                        prev_open_keys_.begin(), prev_open_keys_.end(),
-                        std::back_inserter(diff));
-    report.recourse.facilities_opened =
-        static_cast<std::int64_t>(diff.size());
-    diff.clear();
-    std::set_difference(prev_open_keys_.begin(), prev_open_keys_.end(),
-                        open_keys.begin(), open_keys.end(),
-                        std::back_inserter(diff));
-    report.recourse.facilities_closed =
-        static_cast<std::int64_t>(diff.size());
+  std::int64_t kept_open = 0;
+  for (std::size_t a = 0, b = 0;
+       a < open_keys.size() && b < prev_open_keys_.size();) {
+    if (open_keys[a] < prev_open_keys_[b]) {
+      ++a;
+    } else if (prev_open_keys_[b] < open_keys[a]) {
+      ++b;
+    } else {
+      ++kept_open;
+      ++a;
+      ++b;
+    }
   }
-  std::unordered_map<fl::NodeKey, fl::NodeKey> assignment;
-  assignment.reserve(static_cast<std::size_t>(n));
+  report.recourse.facilities_opened =
+      static_cast<std::int64_t>(open_keys.size()) - kept_open;
+  report.recourse.facilities_closed =
+      static_cast<std::int64_t>(prev_open_keys_.size()) - kept_open;
+
+  std::vector<fl::NodeKey> client_keys(static_cast<std::size_t>(n));
+  std::vector<fl::NodeKey> assigned(static_cast<std::size_t>(n));
   std::int64_t common = 0;
+  std::size_t prev = 0;
   for (fl::ClientId j = 0; j < n; ++j) {
-    const fl::NodeKey ckey = snapshot_.client_key(j);
-    const fl::NodeKey fkey =
-        snapshot_.facility_key(solution.assignment(j));
-    assignment.emplace(ckey, fkey);
-    const auto it = prev_assignment_.find(ckey);
-    if (it == prev_assignment_.end()) continue;
+    const auto t = static_cast<std::size_t>(j);
+    client_keys[t] = snapshot_.client_key(j);
+    assigned[t] = snapshot_.facility_key(solution.assignment(j));
+    while (prev < prev_client_keys_.size() &&
+           prev_client_keys_[prev] < client_keys[t])
+      ++prev;
+    if (prev == prev_client_keys_.size() ||
+        prev_client_keys_[prev] != client_keys[t])
+      continue;
     ++common;
-    if (it->second != fkey) ++report.recourse.clients_reassigned;
+    if (prev_assigned_[prev] != assigned[t])
+      ++report.recourse.clients_reassigned;
   }
   report.recourse.clients_arrived = static_cast<std::int64_t>(n) - common;
   report.recourse.clients_departed =
-      static_cast<std::int64_t>(prev_assignment_.size()) - common;
+      static_cast<std::int64_t>(prev_client_keys_.size()) - common;
 
   prev_open_keys_ = std::move(open_keys);
-  prev_assignment_ = std::move(assignment);
+  prev_client_keys_ = std::move(client_keys);
+  prev_assigned_ = std::move(assigned);
   solution_ = std::move(solution);
 
   report.solve_ms = ms_since(start);

@@ -17,7 +17,16 @@
 //      delta of the epoch touched reuse their cached solution (including
 //      the fractional stage's y state under the pipeline engine — the
 //      warm-started fractional state); only dirty components re-run the
-//      distributed solver.
+//      distributed solver. An unchanged member-key set also means an
+//      unchanged member order, so a cached solution is stored as positions
+//      local to its component and re-assembles by index arithmetic.
+//
+// The epoch's bookkeeping runs on dense ids, with no sort or hash table:
+// touched keys become dirty flags once the new snapshot is applied, the
+// partition is a union-find with a dense root -> component table, the
+// cache is a vector in ascending component-key order merged against the
+// (also key-ordered) components, and recourse is one merge over the
+// ascending client keys of consecutive epochs.
 //
 // The from-scratch baseline is the same machinery with the cache disabled
 // (`warm_start = false`), so warm and cold runs produce bit-identical
@@ -32,8 +41,6 @@
 
 #include <cstdint>
 #include <string>
-#include <unordered_map>
-#include <unordered_set>
 #include <vector>
 
 #include "core/params.h"
@@ -141,12 +148,15 @@ class StreamingSolver {
   }
 
  private:
-  /// Cached per-component result, addressed by component key; everything
-  /// inside is in stable-key space so it survives renumbering.
+  /// Cached per-component result. Everything inside is local to the
+  /// component: facility and client *positions* index its member lists,
+  /// which are in ascending key order, so the entry survives renumbering
+  /// for as long as the member-key set (the fingerprint) is unchanged.
   struct ComponentEntry {
+    fl::NodeKey key = fl::kNoKey;
     std::uint64_t fingerprint = 0;
-    std::vector<fl::NodeKey> open_facilities;
-    std::vector<std::pair<fl::NodeKey, fl::NodeKey>> assignment;  // (c, f)
+    std::vector<std::uint8_t> open;        // flag per facility position
+    std::vector<std::int32_t> assignment;  // facility position per client
     /// Pipeline engine: the fractional stage's state (value + per-member
     /// facility y in ascending key order), carried across epochs.
     double fractional_value = 0.0;
@@ -161,9 +171,12 @@ class StreamingSolver {
     std::vector<fl::ClientId> clients;       // dense, ascending
   };
 
+  /// `touched_f` / `touched_c`: keys named by the epoch's deltas. Keys
+  /// absent from the new snapshot are ignored: a departed client or closed
+  /// facility already changes its old component's fingerprint.
   EpochReport resolve(std::size_t events, double apply_ms,
-                      const std::unordered_set<fl::NodeKey>& touched_f,
-                      const std::unordered_set<fl::NodeKey>& touched_c);
+                      const std::vector<fl::NodeKey>& touched_f,
+                      const std::vector<fl::NodeKey>& touched_c);
   ComponentEntry solve_component(const Component& comp,
                                  std::uint64_t fingerprint) const;
 
@@ -173,10 +186,11 @@ class StreamingSolver {
   fl::DeltaLog pending_;
   fl::IntegralSolution solution_;
   EpochReport last_report_;
-  std::unordered_map<fl::NodeKey, ComponentEntry> cache_;
+  std::vector<ComponentEntry> cache_;  // ascending component key
   // Previous epoch's key-space state, for recourse.
-  std::vector<fl::NodeKey> prev_open_keys_;  // sorted
-  std::unordered_map<fl::NodeKey, fl::NodeKey> prev_assignment_;
+  std::vector<fl::NodeKey> prev_open_keys_;    // ascending
+  std::vector<fl::NodeKey> prev_client_keys_;  // ascending
+  std::vector<fl::NodeKey> prev_assigned_;     // facility key per client
 };
 
 }  // namespace dflp::service

@@ -123,6 +123,36 @@ TEST(InstanceBuilder, RejectsDuplicateEdges) {
   EXPECT_THROW(b.build(), CheckError);
 }
 
+/// The user message of a CheckError: what follows the " — " separator.
+std::string check_message(const CheckError& e) {
+  const std::string what = e.what();
+  const std::string sep = " — ";
+  const auto at = what.rfind(sep);
+  return at == std::string::npos ? what : what.substr(at + sep.size());
+}
+
+TEST(InstanceBuilder, DuplicateEdgeNamesSmallestPair) {
+  // Duplicates in two facilities, inserted from the largest pair down and
+  // with equal costs, so neither insertion order nor the cost sort can
+  // pick the reported pair.
+  InstanceBuilder b;
+  for (int i = 0; i < 3; ++i) (void)b.add_facility(1.0);
+  (void)b.add_clients(4);
+  b.connect(2, 0, 1.0);
+  b.connect(2, 0, 1.0);
+  b.connect(1, 3, 2.0);
+  b.connect(0, 2, 1.0);
+  b.connect(1, 3, 2.0);
+  b.connect(1, 1, 2.0);
+  b.connect(1, 1, 2.0);
+  try {
+    (void)b.build();
+    FAIL() << "duplicate edges were accepted";
+  } catch (const CheckError& e) {
+    EXPECT_EQ(check_message(e), "duplicate edge (facility=1, client=1)");
+  }
+}
+
 TEST(InstanceBuilder, RejectsIsolatedClient) {
   InstanceBuilder b;
   b.add_facility(1.0);
@@ -301,6 +331,15 @@ TEST(Serialize, RejectsGarbage) {
 
 TEST(Serialize, RejectsTruncatedEdges) {
   EXPECT_THROW(from_text("dflp-ufl 1\n1 1 1\n5.0\n"), CheckError);
+}
+
+TEST(Serialize, RejectsDuplicateEdgeLine) {
+  try {
+    (void)from_text("dflp-ufl 1\n2 2 3\n1 1\n0 0 1\n1 1 2\n0 0 3\n");
+    FAIL() << "a duplicate edge line was accepted";
+  } catch (const CheckError& e) {
+    EXPECT_EQ(check_message(e), "duplicate edge (facility=0, client=0)");
+  }
 }
 
 /// Expects `text` to be rejected with a CheckError in well under a second.
