@@ -29,7 +29,9 @@ net::ReliableStats run_protocol(
     max_rounds = 8 * spec.logical_bound + 160;
   }
   if (params.tracer != nullptr) params.tracer->set_section(spec.section);
-  net::Network net = make_bipartite_network(inst, options);
+  net::Network local;
+  net::Network& net = params.network != nullptr ? *params.network : local;
+  make_bipartite_network(inst, std::move(options), net);
 
   net::ReliableChannel::Options channel;
   channel.inner_bit_budget = spec.bit_budget;

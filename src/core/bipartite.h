@@ -8,6 +8,9 @@
 //
 // run_protocol is the one scaffold the mw-greedy, frac-lp and rand-round
 // runners share. It maps the MwParams transport knobs onto the network:
+//   * `params.network` lends it a network to re-arm (net::Network::reset)
+//     instead of a local one it builds and destroys; the results are the
+//     same either way;
 //   * `params.faults` installs the seeded FaultPlan and `params.tracer`
 //     traces the run under the runner's section name;
 //   * `params.reliable` wraps every node program in a ReliableChannel
@@ -108,20 +111,38 @@ class PeerIndex {
   std::vector<std::pair<net::NodeId, std::size_t>> sorted_;  // (peer, t)
 };
 
-/// Builds the (finalized, process-less) bipartite communication network of
-/// `inst` with the given options: a net::Network, or a net::AsyncNetwork.
-template <typename Net = net::Network>
-[[nodiscard]] Net make_bipartite_network(const fl::Instance& inst,
-                                         typename Net::Options options) {
-  const auto total = static_cast<std::size_t>(inst.num_facilities() +
-                                              inst.num_clients());
-  Net net(total, options);
+/// Node count of the bipartite network of `inst`: m + n.
+[[nodiscard]] inline std::size_t num_network_nodes(const fl::Instance& inst) {
+  return static_cast<std::size_t>(inst.num_facilities() + inst.num_clients());
+}
+
+/// Adds every instance edge to a sized network and finalizes it.
+template <typename Net>
+void add_bipartite_edges(const fl::Instance& inst, Net& net) {
   for (fl::FacilityId i = 0; i < inst.num_facilities(); ++i) {
     for (const fl::FacilityEdge& e : inst.facility_edges(i))
       net.add_edge(facility_node(i), client_node(inst, e.client));
   }
   net.finalize();
+}
+
+/// Builds the (finalized, process-less) bipartite communication network of
+/// `inst` with the given options: a net::Network, or a net::AsyncNetwork.
+template <typename Net = net::Network>
+[[nodiscard]] Net make_bipartite_network(const fl::Instance& inst,
+                                         typename Net::Options options) {
+  Net net(num_network_nodes(inst), std::move(options));
+  add_bipartite_edges(inst, net);
   return net;
+}
+
+/// Re-arms `net` (net::Network::reset) as the same network the overload
+/// above builds, keeping `net`'s storage.
+inline void make_bipartite_network(const fl::Instance& inst,
+                                   net::Network::Options options,
+                                   net::Network& net) {
+  net.reset(num_network_nodes(inst), std::move(options));
+  add_bipartite_edges(inst, net);
 }
 
 /// What differs between the runners.
@@ -132,10 +153,11 @@ struct ProtocolSpec {
   std::uint64_t logical_bound = 0;  ///< round bound of a direct run
 };
 
-/// Builds the bipartite network of `inst`, installs `make_node(v)` at every
-/// node v, runs it to the transport round bound and hands the metrics to
-/// `readout`. Returns the channel counters merged over all nodes (all-zero
-/// unless `params.reliable`).
+/// Arms the bipartite network of `inst` — `params.network` when set, a
+/// local network otherwise — installs `make_node(v)` at every node v, runs
+/// it to the transport round bound and hands the metrics to `readout`.
+/// Returns the channel counters merged over all nodes (all-zero unless
+/// `params.reliable`).
 net::ReliableStats run_protocol(
     const fl::Instance& inst, const MwParams& params, const ProtocolSpec& spec,
     const net::ProcessFactory& make_node,

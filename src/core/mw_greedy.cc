@@ -1,8 +1,12 @@
 #include "core/mw_greedy.h"
 
 #include <algorithm>
+#include <array>
 #include <cmath>
+#include <cstddef>
 #include <limits>
+#include <memory_resource>
+#include <vector>
 
 #include "common/check.h"
 #include "core/bipartite.h"
@@ -179,11 +183,10 @@ class FacilityProc final : public net::Process {
   void maybe_open_and_grant(net::NodeContext& ctx,
                             std::span<const net::Message> inbox) {
     if (offered_star_ == 0) return;
-    std::vector<net::NodeId> accepters;
-    for (const net::Message& msg : inbox) {
-      if (msg.kind == kAccept) accepters.push_back(msg.src);
-    }
-    if (accepters.empty()) return;
+    const auto accepts = static_cast<int>(std::count_if(
+        inbox.begin(), inbox.end(),
+        [](const net::Message& msg) { return msg.kind == kAccept; }));
+    if (accepts == 0) return;
 
     int needed = 1;
     if (shared_->params.accept_rule == AcceptRule::kFractionOfStar) {
@@ -191,11 +194,13 @@ class FacilityProc final : public net::Process {
           1, static_cast<int>(std::ceil(static_cast<double>(offered_star_) /
                                         shared_->sched.beta)));
     }
-    if (static_cast<int>(accepters.size()) < needed) return;
+    if (accepts < needed) return;
 
     ctx.annotate("open");
     open();
-    for (net::NodeId c : accepters) ctx.send(c, kGrant);
+    for (const net::Message& msg : inbox) {
+      if (msg.kind == kAccept) ctx.send(msg.src, kGrant);
+    }
   }
 
   const Shared* shared_;
@@ -276,7 +281,11 @@ class ClientProc final : public net::Process {
                     std::span<const net::Message> inbox) {
     pending_ = net::kNoNode;
     if (covered_) return;
-    std::vector<net::NodeId> offers;
+    // Small inboxes (every component solve of the streaming service) sort
+    // their offers in this stack buffer; larger ones spill to the heap.
+    std::array<std::byte, 64 * sizeof(net::NodeId)> buffer;
+    std::pmr::monotonic_buffer_resource pool(buffer.data(), buffer.size());
+    std::pmr::vector<net::NodeId> offers(&pool);
     offers.reserve(inbox.size());
     for (const net::Message& m : inbox) {
       if (m.kind == kOffer) offers.push_back(m.src);

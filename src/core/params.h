@@ -80,6 +80,14 @@ struct MwParams {
   /// for in-memory traces; harness::run_algorithm owns a Tracer itself
   /// when `trace_path` asks for a file.
   net::Tracer* tracer = nullptr;
+  /// Simulator to run on, not owned: when set, every runner re-arms this
+  /// network (net::Network::reset) instead of building its own, so a
+  /// caller that solves many small instances keeps one set of engine
+  /// buffers and one thread pool. Like `tracer` it affects execution
+  /// only — results are bit-identical with and without it. One caller at
+  /// a time; the network holds the last run's node programs until the
+  /// next re-arm.
+  net::Network* network = nullptr;
   /// Harness-level export: when non-empty, run_algorithm writes the trace
   /// here in `trace_format`, capturing per-node phase annotations when
   /// `trace_phases` is set (see docs/trace-schema.md).

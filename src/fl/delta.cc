@@ -287,7 +287,9 @@ InstanceSnapshot apply(const InstanceSnapshot& snap, const DeltaLog& log) {
   for (std::size_t j = 0; j < ckeys.size(); ++j) (void)builder.add_client();
 
   // ---- Edge assembly (re-pricing applied to the final topology). --------
+  // A log without re-pricing (the common case) skips the per-edge probe.
   auto priced = [&cost_change](NodeKey fkey, NodeKey ckey, Cost base) {
+    if (cost_change.empty()) return base;
     const auto it = cost_change.find({fkey, ckey});
     if (it == cost_change.end()) return base;
     it->second.second = true;

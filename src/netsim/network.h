@@ -88,6 +88,22 @@
 // run() calls, so steady-state commits allocate nothing
 // (tests/arena_alloc_test.cc pins this).
 //
+// Re-arming
+// ---------
+// `reset(num_nodes, options)` is the network's one initializer (the sizing
+// constructor calls it): it returns the network to the state of a freshly
+// constructed one — no processes, node RNGs or edges, every node live, round
+// 0, no idle window, no crash progress or fault plan, arena-mode delivery,
+// zeroed cumulative metrics — while keeping the capacity of the staging
+// logs, both arenas, the RecRange columns, the per-shard scratch and the CSR
+// arrays, and the ParallelExecutor when the thread count is unchanged. A
+// re-armed network then takes add_edge()/finalize()/set_process()/run()
+// exactly like a new one and runs bit-identically to it (metrics, solutions
+// and trace records; tests/netsim_test.cc pins this), including after a
+// run() that threw. This lets a caller that solves many small instances
+// keep one network instead of building one per solve. A network is not
+// thread-safe: a lent network serves one caller at a time.
+//
 // Determinism
 // -----------
 // The execution is a pure function of (topology, processes, options.seed) —
@@ -450,10 +466,18 @@ class Network final {
     Tracer* tracer = nullptr;
   };
 
+  /// An unarmed network: reset() must size it before anything else.
+  Network();
+  /// Equivalent to Network() followed by reset(num_nodes, options).
   Network(std::size_t num_nodes, Options options);
   Network(Network&&) noexcept;
   Network& operator=(Network&&) noexcept;
   ~Network();
+
+  /// Re-arms the network for a new execution on `num_nodes` nodes (see the
+  /// header's re-arming section): every execution state is reset, storage
+  /// capacity is kept. add_edge()/finalize() follow as for a new network.
+  void reset(std::size_t num_nodes, Options options);
 
   /// Adds an undirected edge. Must be called before finalize(). Self loops
   /// and duplicate edges are rejected, as is any call under
@@ -463,8 +487,8 @@ class Network final {
   /// Freezes the topology (builds adjacency), validates the options
   /// (budget, allowance, threads, fault plan — throwing CheckError with the
   /// offending value), binds the fault plan, derives per-node RNGs and
-  /// allocates the per-shard staging logs and arena slabs.
-  /// Must be called exactly once, before set_process()/run().
+  /// sizes the per-shard staging logs and arena slabs.
+  /// Must be called exactly once per reset(), before set_process()/run().
   void finalize();
 
   /// Installs the program for node `id` (finalize() first).
@@ -645,7 +669,7 @@ class Network final {
   std::uint64_t transport_touches_ = 0;
 
   // Lazily created on first run() (keeps the class cheaply movable before
-  // any execution starts).
+  // any execution starts); reset() keeps it unless the thread count changes.
   std::unique_ptr<ParallelExecutor> executor_;
 
   std::uint64_t round_ = 0;

@@ -144,7 +144,7 @@ EpochReport StreamingSolver::commit_epoch() {
 }
 
 StreamingSolver::ComponentEntry StreamingSolver::solve_component(
-    const Component& comp, std::uint64_t fingerprint) const {
+    const Component& comp, std::uint64_t fingerprint) {
   ComponentEntry entry;
   entry.key = comp.key;
   entry.fingerprint = fingerprint;
@@ -178,6 +178,7 @@ StreamingSolver::ComponentEntry StreamingSolver::solve_component(
   params.pinned_schedule = &schedule_;
   params.tracer = nullptr;
   params.trace_path.clear();
+  params.network = &network_;
   params.seed = derive_stream_seed(options_.params.seed,
                                    static_cast<std::uint64_t>(comp.key),
                                    kComponentSeedTag);

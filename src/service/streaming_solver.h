@@ -178,7 +178,7 @@ class StreamingSolver {
                       const std::vector<fl::NodeKey>& touched_f,
                       const std::vector<fl::NodeKey>& touched_c);
   ComponentEntry solve_component(const Component& comp,
-                                 std::uint64_t fingerprint) const;
+                                 std::uint64_t fingerprint);
 
   StreamingOptions options_;
   core::MwSchedule schedule_;
@@ -187,6 +187,10 @@ class StreamingSolver {
   fl::IntegralSolution solution_;
   EpochReport last_report_;
   std::vector<ComponentEntry> cache_;  // ascending component key
+  // Lent to every component solve (MwParams::network) and re-armed by each
+  // run, so an epoch's solves share one set of engine buffers and one
+  // thread pool instead of building a network per solve.
+  net::Network network_;
   // Previous epoch's key-space state, for recourse.
   std::vector<fl::NodeKey> prev_open_keys_;    // ascending
   std::vector<fl::NodeKey> prev_client_keys_;  // ascending

@@ -7,7 +7,9 @@
 // reused. This file replaces the global allocator with a counting shim and
 // pins that contract literally — after a short warm-up, additional rounds
 // perform ZERO heap allocations, in both delivery modes the commit can
-// pick (slot-permutation scatter and neighbour scan).
+// pick (slot-permutation scatter and neighbour scan) — and extends it to
+// re-armed networks (Network::reset): a repeated component solve on one
+// network allocates nothing inside Network::run.
 //
 // The overrides are process-wide for the whole dflp_tests binary; they
 // only count and forward, so the other suites see identical behaviour.
@@ -22,7 +24,10 @@
 #include <gtest/gtest.h>
 
 #include "common/rng.h"
+#include "core/bipartite.h"
+#include "core/params.h"
 #include "netsim/network.h"
+#include "workload/stream.h"
 
 namespace {
 
@@ -147,6 +152,70 @@ TEST(ArenaAllocTest, ScanModeSteadyStateAllocatesNothing) {
 TEST(ArenaAllocTest, ScatterModeSteadyStateAllocatesNothing) {
   const auto net = make_chorded_ring<Unicaster>(512);
   EXPECT_EQ(steady_state_allocations(*net), 0u);
+}
+
+/// A component-sized bipartite protocol touching every engine path: each
+/// client asks one facility (unicasts: the scatter path), each asked
+/// facility answers all its neighbours (a broadcast: the scan path), then
+/// everyone idles to a common halt round (idle fast-forward).
+class ComponentNode final : public net::Process {
+ public:
+  static constexpr std::uint64_t kHaltRound = 9;
+
+  explicit ComponentNode(bool facility) : facility_(facility) {}
+
+  void on_round(net::NodeContext& ctx,
+                std::span<const net::Message> in) override {
+    if (ctx.round() == 0 && !facility_)
+      ctx.send(ctx.neighbors().front(), 1, {3, 0, 0});
+    if (ctx.round() == 1 && facility_ && !in.empty())
+      ctx.broadcast(2, {4, 0, 0});
+    if (ctx.round() == kHaltRound) {
+      ctx.halt();
+      return;
+    }
+    ctx.idle_until(kHaltRound);
+  }
+
+ private:
+  bool facility_;
+};
+
+TEST(ArenaAllocTest, RearmedComponentSolveAllocatesNothingInRun) {
+  // One cell of the streaming benchmark: 4 facilities, 11 clients.
+  workload::StreamParams cell;
+  cell.num_cells = 1;
+  cell.initial_clients = 11;
+  const fl::Instance inst =
+      workload::ClientStream(cell, 1).initial_snapshot().instance();
+  net::Network net;
+  core::MwParams params;
+  params.network = &net;
+  const core::ProtocolSpec spec{"component", 64, 1,
+                                ComponentNode::kHaltRound + 4};
+  // run_protocol installs the programs in node order and then runs, so
+  // the count after the last program is built starts the run's window.
+  const auto run_allocations = [&] {
+    std::uint64_t at_run = 0;
+    std::uint64_t in_run = 0;
+    (void)core::run_protocol(
+        inst, params, spec,
+        [&](net::NodeId v) {
+          auto node = std::make_unique<ComponentNode>(v < inst.num_facilities());
+          at_run = g_news.load(std::memory_order_relaxed);
+          return node;
+        },
+        [&](const net::NetMetrics& metrics) {
+          in_run = g_news.load(std::memory_order_relaxed) - at_run;
+          EXPECT_EQ(metrics.rounds, ComponentNode::kHaltRound + 1);
+        });
+    return in_run;
+  };
+  // The first solve grows the buffers; the identical second one must find
+  // everything in place. (One thread: with more, shards claim staging logs
+  // in scheduler order, so which log's capacity grows can differ per run.)
+  EXPECT_GT(run_allocations(), 0u);
+  EXPECT_EQ(run_allocations(), 0u);
 }
 
 TEST(ArenaAllocTest, CountingShimIsLive) {

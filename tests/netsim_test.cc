@@ -12,10 +12,12 @@
 #include "core/frac_lp.h"
 #include "core/mw_greedy.h"
 #include "core/params.h"
+#include "core/rand_round.h"
 #include "netsim/message.h"
 #include "netsim/network.h"
 #include "netsim/trace.h"
 #include "service/streaming_solver.h"
+#include "workload/generators.h"
 #include "workload/stream.h"
 
 namespace dflp::net {
@@ -768,6 +770,180 @@ TEST(Network, IdleFastForwardCutsMwGreedyStepsOnAStreamCell) {
   const core::MwGreedyOutcome reliable = core::run_mw_greedy(inst, params);
   EXPECT_EQ(reliable.metrics.node_steps, summed_live(reliable_trace));
   EXPECT_EQ(reliable.solution.cost(inst), greedy.solution.cost(inst));
+}
+
+/// Every NetMetrics field, node_steps and the first-drop identity included.
+std::string every_metric(const NetMetrics& m) {
+  std::ostringstream os;
+  os << observable(m) << '/' << m.duplicated << '/' << m.node_steps << '/'
+     << m.first_drop_round << '/' << m.first_drop_src << '/'
+     << m.first_drop_dst << '/' << static_cast<int>(m.first_drop_kind);
+  return os.str();
+}
+
+std::string solution_key(const fl::Instance& inst,
+                         const fl::IntegralSolution& sol) {
+  std::ostringstream os;
+  for (fl::FacilityId i = 0; i < inst.num_facilities(); ++i)
+    os << (sol.is_open(i) ? '1' : '0');
+  os << ':';
+  for (fl::ClientId j = 0; j < inst.num_clients(); ++j)
+    os << sol.assignment(j) << ',';
+  return os.str();
+}
+
+/// mw-greedy, then frac-LP and rand-round, on `net` (nullptr: the runners'
+/// own networks): solutions, metrics and untimed trace, or the CheckError
+/// text of the first run that failed.
+std::string solve_all(const fl::Instance& inst, core::MwParams params,
+                      Network* net) {
+  Tracer tracer(/*capture_phases=*/true);
+  params.network = net;
+  params.tracer = &tracer;
+  std::string out;
+  try {
+    const core::MwGreedyOutcome greedy = core::run_mw_greedy(inst, params);
+    out = solution_key(inst, greedy.solution) + ' ' +
+          every_metric(greedy.metrics) + '\n';
+    const core::FracOutcome frac = core::run_frac_lp(inst, params);
+    const core::RoundOutcome rounded =
+        core::run_rand_round(inst, frac.fractional, frac.schedule, params);
+    out += every_metric(frac.metrics) + ' ' +
+           solution_key(inst, rounded.solution) + ' ' +
+           every_metric(rounded.metrics) + '\n';
+  } catch (const CheckError& e) {
+    out += std::string("CheckError: ") + e.what() + '\n';
+  }
+  return out + untimed_jsonl(tracer);
+}
+
+/// Three rounds of seeded broadcasts on an n-node clique armed on `net`:
+/// every node logs what it hears, then the metrics.
+std::string clique_run(Network& net, std::size_t n, Network::Options o) {
+  Tracer tracer;
+  o.topology = Topology::kClique;
+  o.tracer = &tracer;
+  net.reset(n, o);
+  net.finalize();
+  std::vector<std::string> logs(n);
+  for (std::size_t v = 0; v < n; ++v) {
+    net.set_process(
+        static_cast<NodeId>(v),
+        std::make_unique<Script>([&log = logs[v]](NodeContext& ctx,
+                                                  std::span<const Message> in) {
+          for (const Message& m : in)
+            log += std::to_string(m.src) + ':' + std::to_string(m.field[0]) +
+                   ',';
+          if (ctx.round() == 3) {
+            ctx.halt();
+            return;
+          }
+          ctx.broadcast(1, {static_cast<std::int64_t>(
+                                ctx.rng().uniform_u64(1000)),
+                            0, 0});
+        }));
+  }
+  std::string out = every_metric(net.run(100)) + '\n';
+  for (const std::string& log : logs) out += log + '|';
+  return out + '\n' + untimed_jsonl(tracer);
+}
+
+// One network re-armed across a sequence of bipartite instances that grow
+// and shrink, with a clique in between, under every thread count, delivery
+// order and fault mode: each run must equal the same run on fresh networks
+// — metrics, solutions and trace records, or the CheckError text. Bare
+// drops make runs throw, so re-arms after a failed run are covered too.
+TEST(Network, RearmedMatchesFresh) {
+  std::vector<fl::Instance> insts;
+  for (const auto& [m, n] : std::vector<std::pair<int, int>>{
+           {8, 30}, {20, 90}, {5, 12}, {14, 50}}) {
+    workload::UniformParams u;
+    u.num_facilities = m;
+    u.num_clients = n;
+    u.client_degree = 3;
+    insts.push_back(workload::uniform_random(u, 7 + static_cast<unsigned>(m)));
+  }
+  Network lent;
+  int threw = 0;
+  int rearmed_after_throw = 0;
+  bool last_threw = false;
+  for (const int threads : {1, 2, 4}) {
+    for (const DeliveryOrder delivery :
+         {DeliveryOrder::kBySource, DeliveryOrder::kRandomShuffle,
+          DeliveryOrder::kReverseSource}) {
+      for (int mode = 0; mode < 4; ++mode) {
+        core::MwParams params;
+        params.k = 4;
+        params.seed = 5;
+        params.num_threads = threads;
+        params.delivery = delivery;
+        if (mode == 1 || mode == 2) params.faults.drop_probability = 0.15;
+        if (mode == 2) params.reliable = true;
+        if (mode == 3) params.faults.crashes = {{0, 6}, {3, 9}};
+        const std::string where = "threads=" + std::to_string(threads) +
+                                  " delivery=" +
+                                  std::to_string(static_cast<int>(delivery)) +
+                                  " mode=" + std::to_string(mode);
+        for (std::size_t s = 0; s < insts.size(); ++s) {
+          const std::string fresh = solve_all(insts[s], params, nullptr);
+          if (last_threw) ++rearmed_after_throw;
+          const std::string rearmed = solve_all(insts[s], params, &lent);
+          EXPECT_EQ(rearmed, fresh) << where << " instance=" << s;
+          last_threw = rearmed.find("CheckError") != std::string::npos;
+          threw += last_threw ? 1 : 0;
+          if (s != 1) continue;
+          // A clique between the second and third explicit instances.
+          Network::Options o;
+          o.seed = 9;
+          o.num_threads = threads;
+          o.delivery = delivery;
+          o.faults = params.faults;
+          if (last_threw) ++rearmed_after_throw;
+          Network fresh_net;
+          EXPECT_EQ(clique_run(lent, 11, o), clique_run(fresh_net, 11, o))
+              << where;
+          last_threw = false;
+        }
+      }
+    }
+  }
+  EXPECT_GT(threw, 0);
+  EXPECT_GT(rearmed_after_throw, 0);
+
+  // A throw in the middle of round 0's step phase leaves its staging
+  // unconsumed: every node before the last has staged a send to the
+  // highest id. The re-armed, much smaller network must not see it.
+  for (const int threads : {1, 2}) {
+    Network::Options o = opts();
+    o.num_threads = threads;
+    constexpr NodeId kWide = 60;
+    lent.reset(kWide, o);
+    for (NodeId v = 0; v + 1 < kWide; ++v) lent.add_edge(v, kWide - 1);
+    lent.finalize();
+    for (NodeId v = 0; v < kWide; ++v) {
+      lent.set_process(v, std::make_unique<Script>([](NodeContext& ctx,
+                                                      auto) {
+        DFLP_CHECK_MSG(ctx.self() + 1 < kWide, "the last node throws");
+        ctx.send(kWide - 1, 1);
+      }));
+    }
+    EXPECT_THROW(lent.run(10), CheckError);
+    const auto path = [&](Network& net) {
+      net.reset(4, o);
+      for (NodeId v = 0; v + 1 < 4; ++v) net.add_edge(v, v + 1);
+      net.finalize();
+      for (NodeId v = 0; v < 4; ++v) {
+        net.set_process(v, std::make_unique<Script>([](NodeContext& ctx,
+                                                       auto) {
+          if (ctx.round() == 2) ctx.halt();
+          ctx.broadcast(1);
+        }));
+      }
+      return every_metric(net.run(10));
+    };
+    Network fresh_net;
+    EXPECT_EQ(path(lent), path(fresh_net)) << "threads=" << threads;
+  }
 }
 
 TEST(Network, MetricsToStringMentionsCounts) {

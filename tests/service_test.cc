@@ -72,7 +72,10 @@ void expect_same_state(const StreamingSolver& a, const StreamingSolver& b) {
         << "client " << j;
 }
 
-void run_warm_vs_cold(SolveEngine engine) {
+/// Runs a warm and a cold service side by side through a 5-epoch stream,
+/// checks that they agree on every epoch, and returns the per-epoch costs
+/// (epoch 0 first).
+std::vector<double> run_warm_vs_cold(SolveEngine engine, int threads = 1) {
   const workload::StreamParams sp = small_stream();
   constexpr std::int32_t kEpochs = 5;
   constexpr std::int32_t kEventsPerEpoch = 15;
@@ -80,14 +83,17 @@ void run_warm_vs_cold(SolveEngine engine) {
 
   workload::ClientStream warm_stream(sp, 7);
   workload::ClientStream cold_stream(sp, 7);
-  StreamingSolver warm(warm_stream.initial_snapshot(),
-                       make_options(sp, kTotal, /*warm=*/true, engine));
-  StreamingSolver cold(cold_stream.initial_snapshot(),
-                       make_options(sp, kTotal, /*warm=*/false, engine));
+  StreamingOptions warm_opt = make_options(sp, kTotal, /*warm=*/true, engine);
+  StreamingOptions cold_opt = make_options(sp, kTotal, /*warm=*/false, engine);
+  warm_opt.params.num_threads = threads;
+  cold_opt.params.num_threads = threads;
+  StreamingSolver warm(warm_stream.initial_snapshot(), warm_opt);
+  StreamingSolver cold(cold_stream.initial_snapshot(), cold_opt);
 
   // Epoch 0 (the constructor's solve) must already agree.
   EXPECT_EQ(warm.last_report().cost, cold.last_report().cost);
   expect_same_state(warm, cold);
+  std::vector<double> costs{warm.last_report().cost};
 
   std::int64_t total_reused = 0;
   for (std::int32_t e = 0; e < kEpochs; ++e) {
@@ -103,6 +109,7 @@ void run_warm_vs_cold(SolveEngine engine) {
     // Identical final solution cost on every epoch — exact, not approx.
     EXPECT_EQ(wr.cost, cr.cost) << "epoch " << e;
     EXPECT_EQ(wr.fractional_value, cr.fractional_value) << "epoch " << e;
+    costs.push_back(wr.cost);
     expect_same_state(warm, cold);
 
     // Identical recourse (same solutions on both sides).
@@ -123,6 +130,7 @@ void run_warm_vs_cold(SolveEngine engine) {
   }
   // With 12 cells and 15 events per epoch some cells stay untouched.
   EXPECT_GT(total_reused, 0);
+  return costs;
 }
 
 TEST(StreamingSolver, WarmEqualsColdMwGreedy) {
@@ -131,6 +139,18 @@ TEST(StreamingSolver, WarmEqualsColdMwGreedy) {
 
 TEST(StreamingSolver, WarmEqualsColdPipeline) {
   run_warm_vs_cold(SolveEngine::kPipeline);
+}
+
+// Two step threads: every component solve runs on the service's one lent
+// network and its thread pool, for both engines, and must reproduce the
+// single-threaded epochs exactly.
+TEST(StreamingSolver, WarmEqualsColdMultiThread) {
+  for (const SolveEngine engine :
+       {SolveEngine::kMwGreedy, SolveEngine::kPipeline}) {
+    EXPECT_EQ(run_warm_vs_cold(engine, /*threads=*/2),
+              run_warm_vs_cold(engine))
+        << engine_name(engine);
+  }
 }
 
 /// One line per epoch (the constructor's epoch 0 first):
