@@ -51,3 +51,16 @@ namespace detail {
                                    dflp_os_.str());                   \
     }                                                                 \
   } while (0)
+
+/// Debug-only invariant check: DFLP_CHECK_MSG in builds without NDEBUG,
+/// nothing otherwise (the condition is not evaluated, only type-checked).
+/// For preconditions a hot internal path relies on but must not pay for in
+/// release builds; external input always goes through DFLP_CHECK.
+#ifdef NDEBUG
+#define DFLP_DCHECK_MSG(cond, stream_expr) \
+  do {                                     \
+    (void)sizeof(!(cond));                 \
+  } while (0)
+#else
+#define DFLP_DCHECK_MSG(cond, stream_expr) DFLP_CHECK_MSG(cond, stream_expr)
+#endif

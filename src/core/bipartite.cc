@@ -1,5 +1,6 @@
 #include "core/bipartite.h"
 
+#include <optional>
 #include <sstream>
 #include <utility>
 
@@ -10,8 +11,8 @@ namespace dflp::core {
 
 net::ReliableStats run_protocol(
     const fl::Instance& inst, const MwParams& params, const ProtocolSpec& spec,
-    const net::ProcessFactory& make_node,
-    const std::function<void(const net::NetMetrics&)>& readout) {
+    FunctionRef<std::unique_ptr<net::Process>(net::NodeId)> make_node,
+    FunctionRef<void(const net::NetMetrics&)> readout) {
   std::uint64_t max_rounds = spec.logical_bound;
   net::Network::Options options;
   options.bit_budget = spec.bit_budget;
@@ -29,8 +30,9 @@ net::ReliableStats run_protocol(
     max_rounds = 8 * spec.logical_bound + 160;
   }
   if (params.tracer != nullptr) params.tracer->set_section(spec.section);
-  net::Network local;
-  net::Network& net = params.network != nullptr ? *params.network : local;
+  std::optional<net::Network> local;  // built only when none is lent
+  net::Network& net =
+      params.network != nullptr ? *params.network : local.emplace();
   make_bipartite_network(inst, std::move(options), net);
 
   net::ReliableChannel::Options channel;

@@ -25,13 +25,14 @@
 
 #include <algorithm>
 #include <cstdint>
-#include <functional>
 #include <memory>
+#include <span>
 #include <string_view>
 #include <utility>
 #include <vector>
 
 #include "common/check.h"
+#include "common/function_ref.h"
 #include "core/params.h"
 #include "fl/instance.h"
 #include "netsim/network.h"
@@ -87,6 +88,21 @@ struct LocalEdge {
   return edges;
 }
 
+/// (peer, t): a neighbour and its position t in the node's cost-sorted
+/// edge list.
+using PeerSlot = std::pair<net::NodeId, std::size_t>;
+
+/// Position of `peer` among a node's edges, given the node's PeerSlots in
+/// ascending order; a CheckError for a non-neighbour.
+[[nodiscard]] inline std::size_t peer_position(std::span<const PeerSlot> sorted,
+                                               net::NodeId peer) {
+  const auto it =
+      std::lower_bound(sorted.begin(), sorted.end(), PeerSlot{peer, 0});
+  DFLP_CHECK_MSG(it != sorted.end() && it->first == peer,
+                 "message from non-neighbour " << peer);
+  return it->second;
+}
+
 /// A node's incident edges indexed by peer: at(peer) is the peer's position
 /// in the node's cost-sorted edge list.
 class PeerIndex {
@@ -99,16 +115,11 @@ class PeerIndex {
   }
 
   [[nodiscard]] std::size_t at(net::NodeId peer) const {
-    const auto it = std::lower_bound(
-        sorted_.begin(), sorted_.end(),
-        std::pair<net::NodeId, std::size_t>{peer, 0});
-    DFLP_CHECK_MSG(it != sorted_.end() && it->first == peer,
-                   "message from non-neighbour " << peer);
-    return it->second;
+    return peer_position(sorted_, peer);
   }
 
  private:
-  std::vector<std::pair<net::NodeId, std::size_t>> sorted_;  // (peer, t)
+  std::vector<PeerSlot> sorted_;
 };
 
 /// Node count of the bipartite network of `inst`: m + n.
@@ -157,11 +168,11 @@ struct ProtocolSpec {
 /// local network otherwise — installs `make_node(v)` at every node v, runs
 /// it to the transport round bound and hands the metrics to `readout`.
 /// Returns the channel counters merged over all nodes (all-zero unless
-/// `params.reliable`).
+/// `params.reliable`). Both callables are borrowed for the call only.
 net::ReliableStats run_protocol(
     const fl::Instance& inst, const MwParams& params, const ProtocolSpec& spec,
-    const net::ProcessFactory& make_node,
-    const std::function<void(const net::NetMetrics&)>& readout);
+    FunctionRef<std::unique_ptr<net::Process>(net::NodeId)> make_node,
+    FunctionRef<void(const net::NetMetrics&)> readout);
 
 /// Typed pointers to one run's node programs, recorded as make() builds
 /// them so the readout needs no downcast. The network owns the programs;

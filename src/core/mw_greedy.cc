@@ -6,6 +6,8 @@
 #include <cstddef>
 #include <limits>
 #include <memory_resource>
+#include <optional>
+#include <span>
 #include <vector>
 
 #include "common/check.h"
@@ -22,26 +24,63 @@ constexpr std::uint8_t kGrant = 3;
 constexpr std::uint8_t kCovered = 4;
 constexpr std::uint8_t kOpenReq = 5;
 
-/// Static data shared read-only by every node: the derived schedule plus
-/// the round layout constants.
+/// Data shared read-only by every node: the schedule (the pinned one
+/// when set, else one derived for this run), the params and the round
+/// layout constants.
 struct Shared {
   Shared(const fl::Instance& inst, const MwParams& p)
-      : sched(derive_schedule(inst, p)), params(p),
+      : derived(p.pinned_schedule == nullptr
+                    ? std::optional<MwSchedule>(derive_schedule(inst, p))
+                    : std::nullopt),
+        sched(derived ? *derived : *p.pinned_schedule), params(p),
         scheduled_rounds(4ULL * static_cast<std::uint64_t>(sched.levels) *
                          static_cast<std::uint64_t>(sched.subphases)) {}
 
-  MwSchedule sched;
-  MwParams params;
+  std::optional<MwSchedule> derived;  // set when no schedule is pinned
+  const MwSchedule& sched;
+  const MwParams& params;
   std::uint64_t scheduled_rounds = 0;  // 4 * levels * subphases
+};
+
+/// The facility programs' per-edge state for one run, in two columns
+/// aligned with the instance's facility-edge array: facility i owns the
+/// slice of its degree at facility_edge_offset(i). Programs hold spans
+/// into it, so building one allocates only the program itself.
+struct FacilityColumns {
+  explicit FacilityColumns(const fl::Instance& inst)
+      : covered(inst.num_edges(), 0), peers(inst.num_edges()) {
+    for (fl::FacilityId i = 0; i < inst.num_facilities(); ++i) {
+      const auto row = inst.facility_edges(i);
+      const auto slice = slice_of(inst, i, std::span<PeerSlot>(peers));
+      for (std::size_t t = 0; t < row.size(); ++t)
+        slice[t] = {client_node(inst, row[t].client), t};
+      std::sort(slice.begin(), slice.end());
+    }
+  }
+
+  template <typename T>
+  static std::span<T> slice_of(const fl::Instance& inst, fl::FacilityId i,
+                               std::span<T> column) {
+    return column.subspan(inst.facility_edge_offset(i),
+                          inst.facility_edges(i).size());
+  }
+
+  std::vector<std::uint8_t> covered;  // by cost position
+  std::vector<PeerSlot> peers;        // ascending by peer within a slice
 };
 
 class FacilityProc final : public net::Process {
  public:
+  /// `edges`: the facility's instance row, cost-sorted; `covered` and
+  /// `peers`: its FacilityColumns slices.
   FacilityProc(const Shared* shared, double opening_cost,
-               std::vector<LocalEdge> edges)
+               net::NodeId first_client,
+               std::span<const fl::FacilityEdge> edges,
+               std::span<std::uint8_t> covered,
+               std::span<const PeerSlot> peers)
       : shared_(shared), opening_cost_(opening_cost),
-        edges_(std::move(edges)), covered_(edges_.size(), 0),
-        peers_(edges_), uncovered_count_(static_cast<int>(edges_.size())) {}
+        first_client_(first_client), edges_(edges), covered_(covered),
+        peers_(peers), uncovered_count_(static_cast<int>(edges_.size())) {}
 
   [[nodiscard]] bool opened() const noexcept { return open_; }
 
@@ -95,7 +134,7 @@ class FacilityProc final : public net::Process {
   }
 
   void mark_covered(net::NodeId client) {
-    const std::size_t t = peers_.at(client);
+    const std::size_t t = peer_position(peers_, client);
     if (!covered_[t]) {
       covered_[t] = 1;
       --uncovered_count_;
@@ -175,7 +214,7 @@ class FacilityProc final : public net::Process {
     int sent = 0;
     for (std::size_t t = 0; t < edges_.size() && sent < star; ++t) {
       if (covered_[t]) continue;
-      ctx.send(edges_[t].peer, kOffer);
+      ctx.send(first_client_ + edges_[t].client, kOffer);
       ++sent;
     }
   }
@@ -205,9 +244,10 @@ class FacilityProc final : public net::Process {
 
   const Shared* shared_;
   double opening_cost_;
-  std::vector<LocalEdge> edges_;       // cost-sorted
-  std::vector<std::uint8_t> covered_;  // parallel to edges_
-  PeerIndex peers_;
+  net::NodeId first_client_;  // node id of client 0: peer of client c
+  std::span<const fl::FacilityEdge> edges_;  // cost-sorted
+  std::span<std::uint8_t> covered_;          // parallel to edges_
+  std::span<const PeerSlot> peers_;
   int uncovered_count_ = 0;
   bool open_ = false;
   int offered_star_ = 0;  // size of the star offered this sub-phase
@@ -218,8 +258,10 @@ class FacilityProc final : public net::Process {
 
 class ClientProc final : public net::Process {
  public:
-  ClientProc(const Shared* shared, std::vector<LocalEdge> edges)
-      : shared_(shared), edges_(std::move(edges)) {}
+  /// `edges`: the client's instance row, cost-sorted; a facility's id is
+  /// its node id.
+  ClientProc(const Shared* shared, std::span<const fl::ClientEdge> edges)
+      : shared_(shared), edges_(edges) {}
 
   [[nodiscard]] bool covered() const noexcept { return covered_; }
   [[nodiscard]] net::NodeId assigned_facility_node() const noexcept {
@@ -255,7 +297,7 @@ class ClientProc final : public net::Process {
       if (!covered_) {
         // edges_ is cost-sorted: front is the cheapest facility.
         ctx.annotate("mopup-request");
-        pending_ = edges_.front().peer;
+        pending_ = facility_node(edges_.front().facility);
         ctx.send(pending_, kOpenReq);
         by_mopup_ = true;
       } else {
@@ -294,11 +336,12 @@ class ClientProc final : public net::Process {
     std::sort(offers.begin(), offers.end());
     // Cheapest offering facility by exact local cost, ties by node id
     // (edges_ order encodes exactly that preference).
-    for (const LocalEdge& e : edges_) {
-      if (std::binary_search(offers.begin(), offers.end(), e.peer)) {
+    for (const fl::ClientEdge& e : edges_) {
+      const net::NodeId peer = facility_node(e.facility);
+      if (std::binary_search(offers.begin(), offers.end(), peer)) {
         ctx.annotate("accept");
-        pending_ = e.peer;
-        ctx.send(e.peer, kAccept);
+        pending_ = peer;
+        ctx.send(peer, kAccept);
         return;
       }
     }
@@ -321,7 +364,7 @@ class ClientProc final : public net::Process {
   }
 
   const Shared* shared_;
-  std::vector<LocalEdge> edges_;  // cost-sorted
+  std::span<const fl::ClientEdge> edges_;  // cost-sorted
   bool covered_ = false;
   bool by_mopup_ = false;
   net::NodeId assigned_ = net::kNoNode;
@@ -332,17 +375,22 @@ using Nodes = NodePrograms<FacilityProc, ClientProc>;
 
 /// Node v's program, for the synchronous and the asynchronous run alike.
 std::unique_ptr<net::Process> make_node(const fl::Instance& inst,
-                                        const Shared& shared, Nodes& nodes,
+                                        const Shared& shared,
+                                        FacilityColumns& columns, Nodes& nodes,
                                         net::NodeId v) {
   return nodes.make(
       v,
       [&](fl::FacilityId i) {
-        return std::make_unique<FacilityProc>(&shared, inst.opening_cost(i),
-                                              facility_local_edges(inst, i));
+        return std::make_unique<FacilityProc>(
+            &shared, inst.opening_cost(i), client_node(inst, 0),
+            inst.facility_edges(i),
+            FacilityColumns::slice_of(
+                inst, i, std::span<std::uint8_t>(columns.covered)),
+            FacilityColumns::slice_of(inst, i,
+                                      std::span<PeerSlot>(columns.peers)));
       },
       [&](fl::ClientId j) {
-        return std::make_unique<ClientProc>(&shared,
-                                            client_local_edges(inst, j));
+        return std::make_unique<ClientProc>(&shared, inst.client_edges(j));
       });
 }
 
@@ -377,26 +425,31 @@ int read_solution(const fl::Instance& inst, const MwParams& params,
 
 MwGreedyOutcome run_mw_greedy(const fl::Instance& inst,
                               const MwParams& params) {
-  const Shared shared(inst, params);
+  Shared shared(inst, params);
+  FacilityColumns columns(inst);
   Nodes nodes(inst);
-  MwGreedyOutcome outcome{fl::IntegralSolution(inst), {}, shared.sched, 0, {}};
+  MwGreedyOutcome outcome{fl::IntegralSolution(inst), {}, {}, 0, {}};
   outcome.transport = run_protocol(
       inst, params,
       {"mw-greedy", shared.sched.bit_budget, params.seed,
        shared.scheduled_rounds + 8},
-      [&](net::NodeId v) { return make_node(inst, shared, nodes, v); },
+      [&](net::NodeId v) {
+        return make_node(inst, shared, columns, nodes, v);
+      },
       [&](const net::NetMetrics& metrics) {
         outcome.metrics = metrics;
         outcome.mopup_clients =
             read_solution(inst, params, nodes, "mw-greedy", outcome);
       });
+  if (shared.derived) outcome.schedule = std::move(*shared.derived);
   return outcome;
 }
 
 MwGreedyAsyncOutcome run_mw_greedy_async(const fl::Instance& inst,
                                          const MwParams& params,
                                          int max_delay) {
-  const Shared shared(inst, params);
+  Shared shared(inst, params);
+  FacilityColumns columns(inst);
   net::AsyncNetwork::Options options;
   // The synchronizer tags every message with its logical round, so the
   // budget grows by the tag size: O(log rounds) = O(log N) extra bits.
@@ -417,9 +470,11 @@ MwGreedyAsyncOutcome run_mw_greedy_async(const fl::Instance& inst,
       fl::IntegralSolution(inst),
       net::run_synchronized(
           net,
-          [&](net::NodeId v) { return make_node(inst, shared, nodes, v); },
+          [&](net::NodeId v) {
+            return make_node(inst, shared, columns, nodes, v);
+          },
           /*max_events=*/1ULL << 32),
-      shared.sched, 0};
+      {}, 0};
   for (std::size_t v = 0; v < net.num_nodes(); ++v) {
     const auto& sync = static_cast<const net::Synchronizer&>(
         net.process(static_cast<net::NodeId>(v)));
@@ -427,6 +482,7 @@ MwGreedyAsyncOutcome run_mw_greedy_async(const fl::Instance& inst,
         std::max(outcome.max_rounds_executed, sync.rounds_executed());
   }
   (void)read_solution(inst, params, nodes, "async mw-greedy", outcome);
+  if (shared.derived) outcome.schedule = std::move(*shared.derived);
   return outcome;
 }
 

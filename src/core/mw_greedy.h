@@ -36,6 +36,9 @@ namespace dflp::core {
 struct MwGreedyOutcome {
   fl::IntegralSolution solution;
   net::NetMetrics metrics;
+  /// The schedule the run derived. Left default-constructed when
+  /// `MwParams::pinned_schedule` was set: the run then used the pinned
+  /// schedule, which the caller already holds, and copies nothing.
   MwSchedule schedule;
   /// Clients the scale schedule failed to cover (mop-up handled them; with
   /// mopup disabled these remain unassigned and the solution is
@@ -53,7 +56,7 @@ struct MwGreedyOutcome {
 struct MwGreedyAsyncOutcome {
   fl::IntegralSolution solution;
   net::AsyncMetrics metrics;
-  MwSchedule schedule;
+  MwSchedule schedule;  ///< as in MwGreedyOutcome
   /// Largest logical round any node executed under the synchronizer.
   std::uint64_t max_rounds_executed = 0;
 };

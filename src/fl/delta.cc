@@ -143,16 +143,6 @@ InstanceSnapshot InstanceSnapshot::restore(Instance inst, EpochId epoch,
   return snap;
 }
 
-NodeKey InstanceSnapshot::facility_key(FacilityId i) const {
-  DFLP_CHECK(i >= 0 && i < inst_.num_facilities());
-  return facility_keys_[static_cast<std::size_t>(i)];
-}
-
-NodeKey InstanceSnapshot::client_key(ClientId j) const {
-  DFLP_CHECK(j >= 0 && j < inst_.num_clients());
-  return client_keys_[static_cast<std::size_t>(j)];
-}
-
 FacilityId InstanceSnapshot::facility_index(NodeKey key) const {
   return key_index(facility_keys_, key);
 }

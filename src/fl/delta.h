@@ -23,6 +23,7 @@
 #include <string>
 #include <vector>
 
+#include "common/check.h"
 #include "fl/instance.h"
 
 namespace dflp::fl {
@@ -109,8 +110,14 @@ class InstanceSnapshot {
   [[nodiscard]] const Instance& instance() const noexcept { return inst_; }
   [[nodiscard]] EpochId epoch() const noexcept { return epoch_; }
 
-  [[nodiscard]] NodeKey facility_key(FacilityId i) const;
-  [[nodiscard]] NodeKey client_key(ClientId j) const;
+  [[nodiscard]] NodeKey facility_key(FacilityId i) const {
+    DFLP_CHECK(i >= 0 && i < inst_.num_facilities());
+    return facility_keys_[static_cast<std::size_t>(i)];
+  }
+  [[nodiscard]] NodeKey client_key(ClientId j) const {
+    DFLP_CHECK(j >= 0 && j < inst_.num_clients());
+    return client_keys_[static_cast<std::size_t>(j)];
+  }
 
   /// Dense id currently bound to a key, or -1 when the key is not present
   /// in this snapshot. O(log m) / O(log n).

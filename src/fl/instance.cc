@@ -129,29 +129,33 @@ Instance InstanceBuilder::build() {
     }
   }
 
-  // Cost profile / rho.
-  CostProfile& cp = inst.profile_;
-  auto absorb = [&cp](Cost c) {
-    cp.max_value = std::max(cp.max_value, c);
-    if (c > 0.0) cp.min_positive = std::min(cp.min_positive, c);
-  };
-  for (Cost f : inst.opening_) {
-    absorb(f);
-    cp.total_opening += f;
-  }
-  for (const auto& e : inst.facility_edges_) {
-    absorb(e.cost);
-    cp.total_connection += e.cost;
-  }
-  cp.rho = std::isfinite(cp.min_positive) && cp.max_value > 0.0
-               ? cp.max_value / cp.min_positive
-               : 1.0;
+  inst.compute_profile();
 
   // Reset builder.
   num_clients_ = 0;
   edges_.clear();
 
   return inst;
+}
+
+void Instance::compute_profile() {
+  CostProfile& cp = profile_;
+  cp = CostProfile{};
+  auto absorb = [&cp](Cost c) {
+    cp.max_value = std::max(cp.max_value, c);
+    if (c > 0.0) cp.min_positive = std::min(cp.min_positive, c);
+  };
+  for (Cost f : opening_) {
+    absorb(f);
+    cp.total_opening += f;
+  }
+  for (const auto& e : facility_edges_) {
+    absorb(e.cost);
+    cp.total_connection += e.cost;
+  }
+  cp.rho = std::isfinite(cp.min_positive) && cp.max_value > 0.0
+               ? cp.max_value / cp.min_positive
+               : 1.0;
 }
 
 std::span<const FacilityEdge> Instance::facility_edges(FacilityId i) const {
@@ -168,6 +172,12 @@ std::span<const ClientEdge> Instance::client_edges(ClientId j) const {
   return {client_edges_.data() + client_offset_[idx],
           static_cast<std::size_t>(client_offset_[idx + 1] -
                                    client_offset_[idx])};
+}
+
+std::size_t Instance::facility_edge_offset(FacilityId i) const {
+  DFLP_CHECK(i >= 0 && i < num_facilities());
+  return static_cast<std::size_t>(
+      facility_offset_[static_cast<std::size_t>(i)]);
 }
 
 std::size_t Instance::client_edge_offset(ClientId j) const {

@@ -8,7 +8,9 @@
 // baselines additionally consume the generator-provided coordinates.
 //
 // Instances are immutable after construction via `InstanceBuilder`, so they
-// can be shared freely across algorithms, threads and repetitions.
+// can be shared freely across algorithms, threads and repetitions. The one
+// exception is `ComponentArena` (fl/component_arena.h), which re-fills the
+// instance it owns in place between uses.
 #pragma once
 
 #include <cstdint>
@@ -50,6 +52,7 @@ struct CostProfile {
 };
 
 class Instance;
+class ComponentArena;
 
 /// Mutable builder; `build()` validates and freezes.
 class InstanceBuilder {
@@ -119,6 +122,10 @@ class Instance {
   /// cost (ties by facility id).
   [[nodiscard]] std::span<const ClientEdge> client_edges(ClientId j) const;
 
+  /// Offset of facility i's first edge in the global facility-edge array;
+  /// lets per-edge state of a whole run live in one flat column.
+  [[nodiscard]] std::size_t facility_edge_offset(FacilityId i) const;
+
   /// Offset of client j's first edge in the global client-edge array; used
   /// by FractionalSolution to align its x values with edges.
   [[nodiscard]] std::size_t client_edge_offset(ClientId j) const;
@@ -154,6 +161,10 @@ class Instance {
 
  private:
   friend class InstanceBuilder;
+  friend class ComponentArena;
+
+  /// Fills profile_ from opening_ and facility_edges_, in that order.
+  void compute_profile();
 
   std::vector<Cost> opening_;
   std::int32_t num_clients_ = 0;

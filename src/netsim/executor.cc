@@ -37,7 +37,7 @@ void ParallelExecutor::worker_loop(std::size_t idx) {
     std::exception_ptr err;
     if (shard.begin < shard.end) {
       try {
-        job(ctx, shard.begin, shard.end);
+        job(ctx, idx + 1, shard.begin, shard.end);
       } catch (...) {
         err = std::current_exception();
       }
@@ -69,7 +69,7 @@ void ParallelExecutor::dispatch(std::size_t n, JobFn invoke, void* ctx) {
   std::exception_ptr own_err;
   if (own.begin < own.end) {
     try {
-      invoke(ctx, own.begin, own.end);
+      invoke(ctx, 0, own.begin, own.end);
     } catch (...) {
       own_err = std::current_exception();
     }

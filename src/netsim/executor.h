@@ -39,9 +39,11 @@ class ParallelExecutor {
   ParallelExecutor(const ParallelExecutor&) = delete;
   ParallelExecutor& operator=(const ParallelExecutor&) = delete;
 
-  /// Runs `fn(begin, end)` over contiguous shards covering [0, n) and
-  /// blocks until every shard finished. Rethrows the exception of the
-  /// lowest-indexed failing shard, if any. The callable is borrowed for
+  /// Runs `fn(s, begin, end)` over the contiguous shards s covering [0, n)
+  /// (see shard()) and blocks until every shard finished. Rethrows the
+  /// exception of the lowest-indexed failing shard, if any. The shard
+  /// index is fixed by the partition, so callers can own one buffer per
+  /// shard without claiming it at run time. The callable is borrowed for
   /// the duration of the call through a raw (function pointer, context)
   /// pair — no std::function, so the per-round dispatch never allocates
   /// (the steady-state zero-allocation contract in arena_alloc_test.cc
@@ -49,14 +51,13 @@ class ParallelExecutor {
   template <typename F>
   void for_shards(std::size_t n, F&& fn) {
     if (threads_.empty()) {
-      if (n > 0) fn(0, n);
+      if (n > 0) fn(std::size_t{0}, std::size_t{0}, n);
       return;
     }
     using Fn = std::remove_reference_t<F>;
     dispatch(n,
-             [](void* ctx, std::size_t begin, std::size_t end) {
-               (*static_cast<Fn*>(ctx))(begin, end);
-             },
+             [](void* ctx, std::size_t s, std::size_t begin,
+                std::size_t end) { (*static_cast<Fn*>(ctx))(s, begin, end); },
              const_cast<std::remove_const_t<Fn>*>(&fn));
   }
 
@@ -81,10 +82,17 @@ class ParallelExecutor {
     return {begin, begin + chunk + (s < rem ? 1 : 0)};
   }
 
+  /// Number of shards for_shards(n) invokes: they are shards
+  /// [0, shards_used(n)), every one non-empty.
+  [[nodiscard]] std::size_t shards_used(std::size_t n) const noexcept {
+    return std::min(n, static_cast<std::size_t>(num_threads()));
+  }
+
  private:
-  /// Type-erased shard body: `invoke(ctx, begin, end)` calls the borrowed
-  /// callable. Both stay valid for the duration of the dispatch only.
-  using JobFn = void (*)(void*, std::size_t, std::size_t);
+  /// Type-erased shard body: `invoke(ctx, s, begin, end)` calls the
+  /// borrowed callable. Both stay valid for the duration of the dispatch
+  /// only.
+  using JobFn = void (*)(void*, std::size_t, std::size_t, std::size_t);
 
   void dispatch(std::size_t n, JobFn invoke, void* ctx);
   void worker_loop(std::size_t idx);

@@ -57,6 +57,8 @@ FaultPlan::FaultPlan(Options options, std::uint64_t network_seed,
   plan_seed_ = derive_stream_seed(network_seed_, options_.fault_seed,
                                   0xFA017B1A7FA017B3ULL);
 
+  if (options_.crashes.empty() && !(options_.random_crash_fraction > 0.0))
+    return;  // no crash can be scheduled
   const auto n = static_cast<NodeId>(num_nodes);
   std::vector<std::uint64_t> crash_round(
       num_nodes, std::numeric_limits<std::uint64_t>::max());

@@ -1,7 +1,6 @@
 #include "netsim/network.h"
 
 #include <algorithm>
-#include <atomic>
 #include <chrono>
 #include <map>
 #include <mutex>
@@ -112,7 +111,6 @@ void Network::reset(std::size_t num_nodes, Options options) {
     touched_.swap(next_touched_);
   header_slots_.clear();
   survivors_.clear();
-  log_order_.clear();
   halt_requests_.clear();
   deliver_by_scan_ = false;
   prev_logs_ = nullptr;
@@ -154,8 +152,10 @@ void Adjacency::finalize(std::size_t n) {
     DFLP_CHECK_MSG(std::adjacent_find(begin, end) == end,
                    "duplicate edge at node " << i);
   }
+  // Keeps its capacity (8 bytes per edge, for the network's lifetime) so
+  // that a re-armed network (Network::reset) declares its next topology
+  // without allocating.
   edges.clear();
-  edges.shrink_to_fit();
 }
 
 void Network::add_edge(NodeId u, NodeId v) {
@@ -451,12 +451,6 @@ NetMetrics Network::run(std::uint64_t max_rounds) {
   std::mutex shard_mu;
   std::map<std::string_view, std::uint64_t> phase_counts;
 
-  // Shard claim counters, reset per round. Deliberately locals: Network
-  // stays movable (std::atomic is not), and claim order is scrubbed out by
-  // the commit's range_begin sort anyway.
-  std::atomic<std::size_t> log_claim{0};
-  std::atomic<std::size_t> scatter_claim{0};
-
   NetMetrics run_metrics;
   // Merged even when a round throws (protocol failure under fault
   // injection): the fault counters must survive into cumulative_ so the
@@ -546,7 +540,6 @@ NetMetrics Network::run(std::uint64_t max_rounds) {
     std::vector<StageLog>& logs =
         stage_logs_[static_cast<std::size_t>(round_ & 1)];
     prev_logs_ = &stage_logs_[static_cast<std::size_t>(round_ & 1) ^ 1u];
-    log_claim.store(0, std::memory_order_relaxed);
 
     // Histogram prediction: tally at stage time unless the previous commit
     // chose scan mode (the tally would be discarded unread) or hazards
@@ -555,17 +548,16 @@ NetMetrics Network::run(std::uint64_t max_rounds) {
     // previous round's totals — identical across thread counts.
     limits.tally_destinations = !hazards && !deliver_by_scan_;
 
-    // Step phase: every live node gathers its inbox and runs against the
-    // shard's log through a stack-local buffer. Shards only touch per-shard
-    // state (claimed log, scratch, their nodes' rng and allowance slices),
-    // so any interleaving produces the same logs.
-    const auto step_range = [&](std::size_t begin, std::size_t end) {
-      if (begin == end) return;
-      const std::size_t li =
-          log_claim.fetch_add(1, std::memory_order_relaxed);
+    // Step phase: every live node gathers its inbox and runs against its
+    // shard's log through a stack-local buffer. Shard li owns log li and
+    // scratch li, and the partition fixes which nodes each shard steps, so
+    // logs in index order are the canonical serial order. Shards only
+    // touch per-shard state (their log, scratch, their nodes' rng and
+    // allowance slices), so any interleaving produces the same logs.
+    const auto step_range = [&](std::size_t li, std::size_t begin,
+                                std::size_t end) {
       StageLog& log = logs[li];
       log.reset();
-      log.range_begin = begin;
       std::vector<Message>& scratch = inbox_scratch_[li];
       std::vector<RecRange>& ranges =
           rec_ranges_[static_cast<std::size_t>(round_ & 1)];
@@ -609,9 +601,9 @@ NetMetrics Network::run(std::uint64_t max_rounds) {
       shard_times.clear();
       t_step0 = TraceClock::now();
       executor_->for_shards(
-          live_count, [&](std::size_t begin, std::size_t end) {
+          live_count, [&](std::size_t li, std::size_t begin, std::size_t end) {
             const TraceClock::time_point s0 = TraceClock::now();
-            step_range(begin, end);
+            step_range(li, begin, end);
             const TraceClock::time_point s1 = TraceClock::now();
             const std::lock_guard<std::mutex> lock(shard_mu);
             shard_times.push_back(
@@ -623,15 +615,8 @@ NetMetrics Network::run(std::uint64_t max_rounds) {
     }
     run_metrics.node_steps += live_count;
 
-    // Recover the canonical serial order: shards claimed logs in scheduler
-    // order, so sort the claimed set by each log's live-range begin.
-    const std::size_t num_logs = log_claim.load(std::memory_order_relaxed);
-    log_order_.clear();
-    for (std::size_t li = 0; li < num_logs; ++li) log_order_.push_back(li);
-    std::sort(log_order_.begin(), log_order_.end(),
-              [&](std::size_t a, std::size_t b) {
-                return logs[a].range_begin < logs[b].range_begin;
-              });
+    // Logs [0, num_logs) were staged this round, in live-list order.
+    const std::size_t num_logs = executor_->shards_used(live_count);
 
     // Commit, pass 1 — tally. Fault-free rounds reduce to a merge of the
     // per-log aggregates and stage-time histograms: O(logs + touched
@@ -650,7 +635,7 @@ NetMetrics Network::run(std::uint64_t max_rounds) {
     survivors_.clear();
     halt_requests_.clear();
     transport_touches_ += live_nodes_.size();
-    for (const std::size_t li : log_order_) {
+    for (std::size_t li = 0; li < num_logs; ++li) {
       StageLog& log = logs[li];
       sent_this_round += log.messages;
       for (const NodeId v : log.halts) halt_requests_.push_back(v);
@@ -727,8 +712,8 @@ NetMetrics Network::run(std::uint64_t max_rounds) {
     deliver_by_scan_ = scan_mode;
     if (scan_mode && limits.tally_destinations) {
       // Staged under an arena-mode prediction that did not hold: the
-      // histograms go unread; rezero them (O(touched)) for the next claim.
-      for (const std::size_t li : log_order_) {
+      // histograms go unread; rezero them (O(touched)) for the log's next use.
+      for (std::size_t li = 0; li < num_logs; ++li) {
         StageLog& log = logs[li];
         for (const NodeId d : log.touched)
           log.dst_count[static_cast<std::size_t>(d)] = 0;
@@ -740,7 +725,7 @@ NetMetrics Network::run(std::uint64_t max_rounds) {
         // Merge the per-log destination histograms staging already counted
         // (O(logs + touched dsts), not O(messages)), draining each log's
         // copy back to all-zero.
-        for (const std::size_t li : log_order_) {
+        for (std::size_t li = 0; li < num_logs; ++li) {
           StageLog& log = logs[li];
           for (const NodeId d : log.touched) {
             const auto dst = static_cast<std::size_t>(d);
@@ -754,7 +739,7 @@ NetMetrics Network::run(std::uint64_t max_rounds) {
         // Staged under a scan-mode prediction that did not hold (the
         // traffic mix shifted): rebuild the histogram from the records,
         // serially — a transition round, not the steady state.
-        for (const std::size_t li : log_order_) {
+        for (std::size_t li = 0; li < num_logs; ++li) {
           for (const WireRecord& rec : logs[li].records) {
             if (rec.flags & kWireBroadcast) {
               for_each_broadcast_dst(rec.src, [&](NodeId nb) {
@@ -825,13 +810,10 @@ NetMetrics Network::run(std::uint64_t max_rounds) {
     // assigned slots and merged into the sorted side table afterwards
     // (empty on protocol-only traffic). Rounds with drops read the
     // pre-filtered survivors_ scratch so the fault coins are not re-drawn.
-    scatter_claim.store(0, std::memory_order_relaxed);
     if (!scan_mode) header_slots_.clear();
     if (!scan_mode && survivors > 0) {
-      const auto scatter_range = [&](std::size_t d_lo, std::size_t d_hi) {
-        if (d_lo == d_hi) return;
-        const std::size_t si =
-            scatter_claim.fetch_add(1, std::memory_order_relaxed);
+      const auto scatter_range = [&](std::size_t si, std::size_t d_lo,
+                                     std::size_t d_hi) {
         std::vector<HeaderSlot>& hout = header_scratch_[si];
         hout.clear();
         if (hazards) {
@@ -844,7 +826,7 @@ NetMetrics Network::run(std::uint64_t max_rounds) {
           }
           return;
         }
-        for (const std::size_t li : log_order_) {
+        for (std::size_t li = 0; li < num_logs; ++li) {
           const StageLog& log = logs[li];
           std::size_t hcur = 0;
           for (std::size_t ri = 0; ri < log.records.size(); ++ri) {
@@ -889,9 +871,7 @@ NetMetrics Network::run(std::uint64_t max_rounds) {
         }
       };
       executor_->for_shards(n, scatter_range);
-      const std::size_t num_scatter =
-          scatter_claim.load(std::memory_order_relaxed);
-      for (std::size_t si = 0; si < num_scatter; ++si) {
+      for (std::size_t si = 0; si < executor_->shards_used(n); ++si) {
         header_slots_.insert(header_slots_.end(), header_scratch_[si].begin(),
                              header_scratch_[si].end());
       }
@@ -913,7 +893,7 @@ NetMetrics Network::run(std::uint64_t max_rounds) {
 
     // Commit, pass 4 — halts: apply the requests collected in pass 1 and
     // compact the live list. Staged state lives in the logs (reset when
-    // next claimed), so this pass is O(#halts), not O(live).
+    // next used), so this pass is O(#halts), not O(live).
     if (!halt_requests_.empty()) {
       for (const NodeId v : halt_requests_)
         halted_[static_cast<std::size_t>(v)] = 1;
@@ -931,7 +911,7 @@ NetMetrics Network::run(std::uint64_t max_rounds) {
     idle_until_ = 0;
     if (survivors == 0) {
       idle_until_ = ~std::uint64_t{0};
-      for (const std::size_t li : log_order_)
+      for (std::size_t li = 0; li < num_logs; ++li)
         idle_until_ = std::min(idle_until_, logs[li].wake_round);
     }
 

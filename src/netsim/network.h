@@ -272,10 +272,6 @@ struct StageLog {
   /// against the survivor count to pick the round's delivery mode.
   std::uint64_t scan_cost = 0;
 
-  /// Live-list begin of the shard that claimed this log — the commit phase
-  /// orders claimed logs by it to recover the canonical serial order.
-  std::size_t range_begin = 0;
-
   /// Earliest idle-until promise of the log's non-halting nodes (see the
   /// header's idle fast-forward); a node without a promise counts as
   /// round + 1. All ones when every node of the log halted.
@@ -567,7 +563,7 @@ class Network final {
   // Clique topology: clique_adj_[k] = k mod N over 2N-1 entries, so node
   // i's neighbour span is clique_adj_[i+1 .. i+N-1] — O(N) storage for all
   // N implicit adjacency lists. clique_scratch_ holds one epoch-stamped
-  // allowance column per step shard (claimed with the shard's StageLog).
+  // allowance column per step shard (indexed like the shard's StageLog).
   bool clique_ = false;
   std::vector<NodeId> clique_adj_;
   std::vector<CliqueScratch> clique_scratch_;
@@ -606,7 +602,7 @@ class Network final {
     std::uint64_t round = ~std::uint64_t{0};
     std::uint32_t lo = 0;
     std::uint32_t hi = 0;
-    std::uint32_t li = 0;  ///< claimed-log index within the parity set
+    std::uint32_t li = 0;  ///< staging shard's log index within the parity set
     WireRecord first;      ///< copy of records[lo], valid when hi > lo
   };
   static_assert(sizeof(RecRange) == 64, "RecRange should fill one line");
@@ -615,10 +611,10 @@ class Network final {
   //
   // stage_logs_ holds two sets of per-shard staging logs, flipped by round
   // parity: the set staged in round r backs the arena consumed in round
-  // r+1, so its records must outlive the next step phase. Shards claim a
-  // log (and the matching inbox_scratch_ entry) through a per-round atomic
-  // counter local to run(); the commit orders claimed logs by their
-  // recorded live-range begin, so claim order never shows.
+  // r+1, so its records must outlive the next step phase. Step shard s
+  // stages into log s (and gathers through inbox_scratch_[s]); shards are
+  // contiguous ascending live-list ranges, so the commit reads the logs in
+  // index order — the canonical serial order — with no sort.
   //
   // arena_ is the slot permutation of round r's inbound records as disjoint
   // per-destination slices (slice_begin_/slice_count_, valid for the
@@ -638,7 +634,6 @@ class Network final {
   std::vector<HeaderSlot> header_slots_;
   std::vector<std::vector<HeaderSlot>> header_scratch_;  ///< per scatter shard
   std::vector<Survivor> survivors_;
-  std::vector<std::size_t> log_order_;  ///< claimed logs by range_begin
   std::vector<std::size_t> slice_begin_;
   std::vector<std::int32_t> slice_count_;
   std::vector<std::int32_t> dst_count_;

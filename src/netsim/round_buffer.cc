@@ -19,7 +19,6 @@ void StageLog::reset() noexcept {
   bits_sum = 0;
   max_bits = 0;
   scan_cost = 0;
-  range_begin = 0;
   wake_round = ~std::uint64_t{0};
 }
 

@@ -151,28 +151,8 @@ StreamingSolver::ComponentEntry StreamingSolver::solve_component(
   entry.open.assign(comp.facilities.size(), 0);
   if (comp.clients.empty()) return entry;  // facility-only: stays closed
 
-  const fl::Instance& inst = snapshot_.instance();
-  fl::InstanceBuilder builder;
-  std::size_t edges = 0;
-  for (fl::FacilityId i : comp.facilities)
-    edges += inst.facility_edges(i).size();
-  builder.reserve(static_cast<std::int32_t>(comp.facilities.size()),
-                  static_cast<std::int32_t>(comp.clients.size()), edges);
-  for (fl::FacilityId i : comp.facilities)
-    (void)builder.add_facility(inst.opening_cost(i));
-  (void)builder.add_clients(static_cast<std::int32_t>(comp.clients.size()));
-  for (std::size_t fi = 0; fi < comp.facilities.size(); ++fi) {
-    for (const fl::FacilityEdge& e :
-         inst.facility_edges(comp.facilities[fi])) {
-      // comp.clients is ascending, so a client's local id is its rank.
-      const auto local = std::lower_bound(comp.clients.begin(),
-                                          comp.clients.end(), e.client) -
-                         comp.clients.begin();
-      builder.connect(static_cast<std::int32_t>(fi),
-                      static_cast<std::int32_t>(local), e.cost);
-    }
-  }
-  const fl::Instance sub = builder.build();
+  const fl::Instance& sub =
+      arena_.fill(snapshot_.instance(), comp.facilities, comp.clients);
 
   core::MwParams params = options_.params;
   params.pinned_schedule = &schedule_;

@@ -44,6 +44,7 @@
 #include <vector>
 
 #include "core/params.h"
+#include "fl/component_arena.h"
 #include "fl/delta.h"
 #include "fl/solution.h"
 #include "workload/stream.h"
@@ -191,6 +192,9 @@ class StreamingSolver {
   // run, so an epoch's solves share one set of engine buffers and one
   // thread pool instead of building a network per solve.
   net::Network network_;
+  // Holds the sub-instance of the component being solved, re-filled from
+  // the snapshot for each solve, so a solve builds no instance of its own.
+  fl::ComponentArena arena_;
   // Previous epoch's key-space state, for recourse.
   std::vector<fl::NodeKey> prev_open_keys_;    // ascending
   std::vector<fl::NodeKey> prev_client_keys_;  // ascending

@@ -9,7 +9,9 @@
 // perform ZERO heap allocations, in both delivery modes the commit can
 // pick (slot-permutation scatter and neighbour scan) — and extends it to
 // re-armed networks (Network::reset): a repeated component solve on one
-// network allocates nothing inside Network::run.
+// network allocates nothing inside Network::run, at one step thread or
+// two, and a repeated mw-greedy component solve allocates its node
+// programs plus a fixed handful of per-solve tables.
 //
 // The overrides are process-wide for the whole dflp_tests binary; they
 // only count and forward, so the other suites see identical behaviour.
@@ -25,6 +27,7 @@
 
 #include "common/rng.h"
 #include "core/bipartite.h"
+#include "core/mw_greedy.h"
 #include "core/params.h"
 #include "netsim/network.h"
 #include "workload/stream.h"
@@ -181,41 +184,76 @@ class ComponentNode final : public net::Process {
   bool facility_;
 };
 
-TEST(ArenaAllocTest, RearmedComponentSolveAllocatesNothingInRun) {
-  // One cell of the streaming benchmark: 4 facilities, 11 clients.
+/// One cell of the streaming benchmark: 4 facilities, 11 clients.
+fl::Instance stream_cell() {
   workload::StreamParams cell;
   cell.num_cells = 1;
   cell.initial_clients = 11;
-  const fl::Instance inst =
-      workload::ClientStream(cell, 1).initial_snapshot().instance();
-  net::Network net;
-  core::MwParams params;
-  params.network = &net;
+  return workload::ClientStream(cell, 1).initial_snapshot().instance();
+}
+
+TEST(ArenaAllocTest, RearmedComponentSolveAllocatesNothingInRun) {
+  const fl::Instance inst = stream_cell();
   const core::ProtocolSpec spec{"component", 64, 1,
                                 ComponentNode::kHaltRound + 4};
-  // run_protocol installs the programs in node order and then runs, so
-  // the count after the last program is built starts the run's window.
-  const auto run_allocations = [&] {
-    std::uint64_t at_run = 0;
-    std::uint64_t in_run = 0;
-    (void)core::run_protocol(
-        inst, params, spec,
-        [&](net::NodeId v) {
-          auto node = std::make_unique<ComponentNode>(v < inst.num_facilities());
-          at_run = g_news.load(std::memory_order_relaxed);
-          return node;
-        },
-        [&](const net::NetMetrics& metrics) {
-          in_run = g_news.load(std::memory_order_relaxed) - at_run;
-          EXPECT_EQ(metrics.rounds, ComponentNode::kHaltRound + 1);
-        });
-    return in_run;
-  };
-  // The first solve grows the buffers; the identical second one must find
-  // everything in place. (One thread: with more, shards claim staging logs
-  // in scheduler order, so which log's capacity grows can differ per run.)
-  EXPECT_GT(run_allocations(), 0u);
-  EXPECT_EQ(run_allocations(), 0u);
+  // Step shards own their staging logs by shard index, so which log grows
+  // is fixed by the partition, not by scheduling: the count holds at any
+  // thread count.
+  for (const int threads : {1, 2}) {
+    net::Network net;
+    core::MwParams params;
+    params.network = &net;
+    params.num_threads = threads;
+    // run_protocol installs the programs in node order and then runs, so
+    // the count after the last program is built starts the run's window.
+    const auto run_allocations = [&] {
+      std::uint64_t at_run = 0;
+      std::uint64_t in_run = 0;
+      (void)core::run_protocol(
+          inst, params, spec,
+          [&](net::NodeId v) {
+            auto node =
+                std::make_unique<ComponentNode>(v < inst.num_facilities());
+            at_run = g_news.load(std::memory_order_relaxed);
+            return node;
+          },
+          [&](const net::NetMetrics& metrics) {
+            in_run = g_news.load(std::memory_order_relaxed) - at_run;
+            EXPECT_EQ(metrics.rounds, ComponentNode::kHaltRound + 1);
+          });
+      return in_run;
+    };
+    // The first solve grows the buffers; the identical second one must
+    // find everything in place.
+    EXPECT_GT(run_allocations(), 0u) << "threads=" << threads;
+    EXPECT_EQ(run_allocations(), 0u) << "threads=" << threads;
+  }
+}
+
+TEST(ArenaAllocTest, RepeatedMwGreedyComponentSolveAllocatesItsPrograms) {
+  // The streaming service's solve: lent network, pinned schedule.
+  const fl::Instance inst = stream_cell();
+  core::MwParams params;
+  const core::MwSchedule schedule = core::derive_schedule_from_bounds(
+      core::InstanceBounds::of(inst), params);
+  params.pinned_schedule = &schedule;
+  const auto programs =
+      static_cast<std::uint64_t>(inst.num_facilities() + inst.num_clients());
+  for (const int threads : {1, 2}) {
+    net::Network net;
+    params.network = &net;
+    params.num_threads = threads;
+    const double cost = core::run_mw_greedy(inst, params).solution.cost(inst);
+    const std::uint64_t before = g_news.load(std::memory_order_relaxed);
+    const core::MwGreedyOutcome out = core::run_mw_greedy(inst, params);
+    const std::uint64_t allocations =
+        g_news.load(std::memory_order_relaxed) - before;
+    EXPECT_EQ(out.solution.cost(inst), cost);
+    // One object per node program, plus per solve: the returned
+    // solution's two vectors, the two typed program tables the readout
+    // walks and the two columns of facility edge state.
+    EXPECT_EQ(allocations, programs + 6) << "threads=" << threads;
+  }
 }
 
 TEST(ArenaAllocTest, CountingShimIsLive) {

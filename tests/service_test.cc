@@ -4,6 +4,9 @@
 // pinned schedule, and recourse accounting must be sane.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <bit>
+#include <cstdint>
 #include <iomanip>
 #include <set>
 #include <sstream>
@@ -14,8 +17,10 @@
 #include "common/check.h"
 #include "core/mw_greedy.h"
 #include "core/params.h"
+#include "fl/component_arena.h"
 #include "fl/delta.h"
 #include "service/streaming_solver.h"
+#include "workload/generators.h"
 #include "workload/stream.h"
 
 namespace dflp::service {
@@ -364,6 +369,216 @@ TEST(DeriveSchedule, PinnedScheduleWinsAndBoundsDominate) {
   EXPECT_EQ(own.thresholds, own_bounds.thresholds);
   EXPECT_EQ(own.y_scale, own_bounds.y_scale);
   EXPECT_EQ(own.num_network_nodes, own_bounds.num_network_nodes);
+}
+
+// ---- ComponentArena: re-filled sub-instances equal built ones. -----------
+
+using Members =
+    std::pair<std::vector<fl::FacilityId>, std::vector<fl::ClientId>>;
+
+/// Connectivity components of `inst` as ascending member lists, found by
+/// breadth-first search (independently of the service's union-find).
+std::vector<Members> components_of(const fl::Instance& inst) {
+  const auto m = static_cast<std::size_t>(inst.num_facilities());
+  const auto n = static_cast<std::size_t>(inst.num_clients());
+  std::vector<std::int32_t> comp_f(m, -1);
+  std::vector<std::int32_t> comp_c(n, -1);
+  std::int32_t count = 0;
+  for (fl::FacilityId root = 0; root < inst.num_facilities(); ++root) {
+    if (comp_f[static_cast<std::size_t>(root)] != -1) continue;
+    std::vector<fl::FacilityId> frontier{root};
+    comp_f[static_cast<std::size_t>(root)] = count;
+    while (!frontier.empty()) {
+      const fl::FacilityId i = frontier.back();
+      frontier.pop_back();
+      for (const fl::FacilityEdge& e : inst.facility_edges(i)) {
+        if (comp_c[static_cast<std::size_t>(e.client)] != -1) continue;
+        comp_c[static_cast<std::size_t>(e.client)] = count;
+        for (const fl::ClientEdge& b : inst.client_edges(e.client)) {
+          if (comp_f[static_cast<std::size_t>(b.facility)] != -1) continue;
+          comp_f[static_cast<std::size_t>(b.facility)] = count;
+          frontier.push_back(b.facility);
+        }
+      }
+    }
+    ++count;
+  }
+  std::vector<Members> comps(static_cast<std::size_t>(count));
+  for (std::size_t i = 0; i < m; ++i)
+    comps[static_cast<std::size_t>(comp_f[i])].first.push_back(
+        static_cast<fl::FacilityId>(i));
+  for (std::size_t j = 0; j < n; ++j)
+    comps[static_cast<std::size_t>(comp_c[j])].second.push_back(
+        static_cast<fl::ClientId>(j));
+  return comps;
+}
+
+/// The same sub-instance through InstanceBuilder::build().
+fl::Instance build_sub(const fl::Instance& parent, const Members& members) {
+  const auto& [facilities, clients] = members;
+  fl::InstanceBuilder builder;
+  for (const fl::FacilityId i : facilities)
+    (void)builder.add_facility(parent.opening_cost(i));
+  (void)builder.add_clients(static_cast<std::int32_t>(clients.size()));
+  for (std::size_t fi = 0; fi < facilities.size(); ++fi) {
+    for (const fl::FacilityEdge& e : parent.facility_edges(facilities[fi])) {
+      const auto local =
+          std::lower_bound(clients.begin(), clients.end(), e.client) -
+          clients.begin();
+      builder.connect(static_cast<fl::FacilityId>(fi),
+                      static_cast<fl::ClientId>(local), e.cost);
+    }
+  }
+  return builder.build();
+}
+
+std::uint64_t bits(double v) { return std::bit_cast<std::uint64_t>(v); }
+
+/// Field-by-field, bitwise equality of two instances.
+void expect_same_instance(const fl::Instance& got, const fl::Instance& want) {
+  ASSERT_EQ(got.num_facilities(), want.num_facilities());
+  ASSERT_EQ(got.num_clients(), want.num_clients());
+  ASSERT_EQ(got.num_edges(), want.num_edges());
+  for (fl::FacilityId i = 0; i < want.num_facilities(); ++i) {
+    EXPECT_EQ(bits(got.opening_cost(i)), bits(want.opening_cost(i)));
+    EXPECT_EQ(got.facility_edge_offset(i), want.facility_edge_offset(i));
+    const auto g = got.facility_edges(i);
+    const auto w = want.facility_edges(i);
+    ASSERT_EQ(g.size(), w.size()) << "facility " << i;
+    for (std::size_t t = 0; t < w.size(); ++t) {
+      EXPECT_EQ(g[t].client, w[t].client) << "facility " << i;
+      EXPECT_EQ(bits(g[t].cost), bits(w[t].cost)) << "facility " << i;
+    }
+  }
+  for (fl::ClientId j = 0; j < want.num_clients(); ++j) {
+    EXPECT_EQ(got.client_edge_offset(j), want.client_edge_offset(j));
+    const auto g = got.client_edges(j);
+    const auto w = want.client_edges(j);
+    ASSERT_EQ(g.size(), w.size()) << "client " << j;
+    for (std::size_t t = 0; t < w.size(); ++t) {
+      EXPECT_EQ(g[t].facility, w[t].facility) << "client " << j;
+      EXPECT_EQ(bits(g[t].cost), bits(w[t].cost)) << "client " << j;
+    }
+  }
+  EXPECT_EQ(got.max_facility_degree(), want.max_facility_degree());
+  EXPECT_EQ(got.max_client_degree(), want.max_client_degree());
+  const fl::CostProfile& gp = got.cost_profile();
+  const fl::CostProfile& wp = want.cost_profile();
+  EXPECT_EQ(bits(gp.min_positive), bits(wp.min_positive));
+  EXPECT_EQ(bits(gp.max_value), bits(wp.max_value));
+  EXPECT_EQ(bits(gp.rho), bits(wp.rho));
+  EXPECT_EQ(bits(gp.total_opening), bits(wp.total_opening));
+  EXPECT_EQ(bits(gp.total_connection), bits(wp.total_connection));
+  EXPECT_EQ(got.describe(), want.describe());
+}
+
+TEST(ComponentArena, EveryStreamComponentEqualsItsBuild) {
+  // Both engines drive the service through the arena; every component of
+  // every epoch's snapshot is re-filled on one shared arena and compared.
+  const workload::StreamParams sp = small_stream();
+  constexpr std::int32_t kEpochs = 5;
+  constexpr std::int32_t kEventsPerEpoch = 15;
+  fl::ComponentArena arena;
+  std::int64_t checked = 0;
+  for (const SolveEngine engine :
+       {SolveEngine::kMwGreedy, SolveEngine::kPipeline}) {
+    workload::ClientStream stream(sp, 7);
+    StreamingSolver service(
+        stream.initial_snapshot(),
+        make_options(sp, kEpochs * kEventsPerEpoch, /*warm=*/false, engine));
+    for (std::int32_t e = 0; e <= kEpochs; ++e) {
+      if (e > 0) {
+        fl::DeltaLog batch;
+        stream.fill_epoch(kEventsPerEpoch, batch);
+        for (const fl::Delta& d : batch.deltas()) service.ingest(d);
+        (void)service.commit_epoch();
+      }
+      const fl::Instance& parent = service.snapshot().instance();
+      for (const Members& comp : components_of(parent)) {
+        if (comp.second.empty()) continue;  // the service solves none
+        SCOPED_TRACE(engine_name(engine) + " epoch " + std::to_string(e) +
+                     " facility " + std::to_string(comp.first.front()));
+        expect_same_instance(arena.fill(parent, comp.first, comp.second),
+                             build_sub(parent, comp));
+        ++checked;
+      }
+    }
+  }
+  EXPECT_GT(checked, 100);
+}
+
+TEST(ComponentArena, RefillsLargeSmallLargeOnOneArena) {
+  // Three uniform instances side by side in one parent, so the parent has
+  // components of very different sizes.
+  fl::InstanceBuilder builder;
+  fl::FacilityId facility_base = 0;
+  fl::ClientId client_base = 0;
+  for (const auto& [m, n] : {std::pair{24, 300}, std::pair{2, 3},
+                             std::pair{8, 40}}) {
+    workload::UniformParams up;
+    up.num_facilities = m;
+    up.num_clients = n;
+    up.client_degree = 3;
+    const fl::Instance part = workload::uniform_random(up, 5);
+    for (fl::FacilityId i = 0; i < m; ++i)
+      (void)builder.add_facility(part.opening_cost(i));
+    (void)builder.add_clients(n);
+    for (fl::FacilityId i = 0; i < m; ++i) {
+      for (const fl::FacilityEdge& e : part.facility_edges(i))
+        builder.connect(facility_base + i, client_base + e.client, e.cost);
+    }
+    facility_base += m;
+    client_base += n;
+  }
+  const fl::Instance parent = builder.build();
+  std::vector<Members> comps = components_of(parent);
+  std::erase_if(comps, [](const Members& c) { return c.second.empty(); });
+  const auto by_size = [](const Members& a, const Members& b) {
+    return a.second.size() < b.second.size();
+  };
+  const Members& small = *std::min_element(comps.begin(), comps.end(), by_size);
+  const Members& large = *std::max_element(comps.begin(), comps.end(), by_size);
+  ASSERT_GE(large.second.size(), 100u);
+  ASSERT_LE(small.second.size(), 3u);
+
+  fl::ComponentArena arena;
+  for (const Members* comp : {&large, &small, &large, &small}) {
+    expect_same_instance(arena.fill(parent, comp->first, comp->second),
+                         build_sub(parent, *comp));
+  }
+}
+
+TEST(ComponentArena, DebugBuildsRejectNonClosedMembers) {
+#ifdef NDEBUG
+  GTEST_SKIP() << "the closure and order checks are debug-only";
+#else
+  // Facility 0 serves clients 0 and 1; facility 1 serves client 1.
+  fl::InstanceBuilder builder;
+  (void)builder.add_facility(1.0);
+  (void)builder.add_facility(2.0);
+  (void)builder.add_clients(2);
+  builder.connect(0, 0, 1.0);
+  builder.connect(0, 1, 2.0);
+  builder.connect(1, 1, 3.0);
+  const fl::Instance parent = builder.build();
+  fl::ComponentArena arena;
+  const std::vector<fl::FacilityId> both{0, 1};
+  const std::vector<fl::ClientId> clients{0, 1};
+  // A client list missing client 1, which both facilities reach.
+  EXPECT_THROW((void)arena.fill(parent, both, std::vector<fl::ClientId>{0}),
+               CheckError);
+  // A facility list missing facility 1, which client 1 reaches.
+  EXPECT_THROW(
+      (void)arena.fill(parent, std::vector<fl::FacilityId>{0}, clients),
+      CheckError);
+  // Members out of ascending order.
+  EXPECT_THROW((void)arena.fill(parent, std::vector<fl::FacilityId>{1, 0},
+                                clients),
+               CheckError);
+  // The closed, ascending lists fill fine.
+  expect_same_instance(arena.fill(parent, both, clients),
+                       build_sub(parent, {both, clients}));
+#endif
 }
 
 }  // namespace
